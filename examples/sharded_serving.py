@@ -24,10 +24,11 @@ sys.path.insert(
     0, os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
 )
 
-from repro.cluster import ServeClient, build_shards, serve  # noqa: E402
+from repro.cluster import ServeClient, build_shards  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
 from repro.data.workload import identification_workload  # noqa: E402
 from repro.engine import MLIQ, TIQ, connect  # noqa: E402
+from repro.serve import serve_async  # noqa: E402
 
 
 def main() -> int:
@@ -59,7 +60,7 @@ def main() -> int:
                 assert a.key == b.key and agreement < 1e-9
 
             # -- 3. HTTP serving ---------------------------------------------
-            with serve(sharded, port=0) as server:
+            with serve_async(sharded, port=0) as server:
                 client = ServeClient(server.url)
                 health = client.healthz()
                 print(

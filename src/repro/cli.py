@@ -360,8 +360,8 @@ def _serve_registry(args):
 
 
 def _cmd_serve(args: argparse.Namespace) -> None:
-    from repro.cluster import QueryServer
     from repro.engine import connect
+    from repro.serve import AdmissionConfig, AsyncQueryServer, CoalesceConfig
 
     backend = args.backend
     if backend == "auto":
@@ -391,41 +391,6 @@ def _cmd_serve(args: argparse.Namespace) -> None:
         if args.sessions > 1
         else None
     )
-    if args.use_async:
-        _serve_async_foreground(args, session, factory)
-        return
-    server = QueryServer(
-        session,
-        args.host,
-        args.port,
-        verbose=args.verbose,
-        session_factory=factory,
-        pool_size=args.sessions,
-        registry=_serve_registry(args),
-        slow_query_log=args.slow_query_log,
-        slow_query_ms=args.slow_query_ms,
-    ).start()
-    host, port = server.address
-    print(
-        f"serving http://{host}:{port} with {args.sessions} session(s) "
-        f"(POST /query{', POST /insert' if args.writable else ''}, "
-        "GET /healthz, GET /stats, GET /metrics) — Ctrl-C to stop",
-        flush=True,
-    )
-    try:
-        server.serve_forever()
-    except KeyboardInterrupt:
-        print("\nshutting down")
-    finally:
-        server.shutdown()
-        session.close()
-
-
-def _serve_async_foreground(args, session, factory) -> None:
-    """The `repro serve --async` path: asyncio front end with admission
-    control and request coalescing (docs/serving.md)."""
-    from repro.serve import AdmissionConfig, AsyncQueryServer, CoalesceConfig
-
     server = AsyncQueryServer(
         session,
         args.host,
@@ -443,7 +408,6 @@ def _serve_async_foreground(args, session, factory) -> None:
             coalesce_writes=not args.no_coalesce,
         ),
         drain_timeout=args.drain_timeout,
-        verbose=args.verbose,
         registry=_serve_registry(args),
         slow_query_log=args.slow_query_log,
         slow_query_ms=args.slow_query_ms,
@@ -457,7 +421,7 @@ def _serve_async_foreground(args, session, factory) -> None:
     )
     print(
         f"serving http://{host}:{port} with {args.sessions} session(s) "
-        f"(async: pipelined JSONL + HTTP, {coalesce_note}, queue "
+        f"(pipelined JSONL + HTTP, {coalesce_note}, queue "
         f"{args.max_queue}) — Ctrl-C to stop",
         flush=True,
     )
@@ -979,8 +943,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "serve",
-        help="serve an index (or shard manifest) as a concurrent JSON "
-        "HTTP endpoint",
+        help="serve an index (or shard manifest) over pipelined JSONL "
+        "and HTTP on one port, with admission control and request "
+        "coalescing (docs/serving.md)",
     )
     p.add_argument(
         "index",
@@ -1015,70 +980,56 @@ def build_parser() -> argparse.ArgumentParser:
         "--sessions",
         type=int,
         default=1,
-        help="session-pool size: concurrent POST /query handlers "
-        "execute on this many sessions over the same index "
-        "(default 1; replica sessions are refreshed after every "
-        "accepted insert, so reads through any slot are "
-        "read-your-writes consistent)",
+        help="session-pool size: concurrent query batches execute on "
+        "this many sessions over the same index (default 1; replica "
+        "sessions are refreshed after every accepted write, so reads "
+        "through any slot are read-your-writes consistent)",
     )
     p.add_argument(
         "--writable",
         action="store_true",
         help="open the primary session writable and accept "
-        "POST /insert (writes serialize on the primary session)",
-    )
-    p.add_argument(
-        "--verbose",
-        action="store_true",
-        help="log every HTTP request to stderr",
-    )
-    p.add_argument(
-        "--async",
-        dest="use_async",
-        action="store_true",
-        help="serve through the asyncio tier: pipelined JSONL + HTTP "
-        "on one event loop, bounded admission queues (429 + "
-        "Retry-After under overload) and request coalescing into "
-        "the engine's batch entry points (docs/serving.md)",
+        "POST /insert and POST /delete (writes serialize on the "
+        "primary session)",
     )
     p.add_argument(
         "--max-batch",
         type=int,
         default=16,
-        help="async only: most engine operations fused into one "
+        help="most engine operations fused into one "
         "coalesced batch (default 16)",
     )
     p.add_argument(
         "--max-delay-ms",
         type=float,
         default=2.0,
-        help="async only: how long a free session waits for stragglers "
+        help="how long a free session waits for stragglers "
         "before executing an underfull batch (default 2 ms)",
     )
     p.add_argument(
         "--max-queue",
         type=int,
         default=512,
-        help="async only: global admission-queue bound; requests over "
+        help="global admission-queue bound; requests over "
         "it answer 429 (default 512)",
     )
     p.add_argument(
         "--max-queue-per-client",
         type=int,
         default=64,
-        help="async only: per-connection admission bound (default 64)",
+        help="per-connection admission bound (default 64)",
     )
     p.add_argument(
         "--no-coalesce",
         action="store_true",
-        help="async only: disable request coalescing (each request "
-        "executes alone, as the threaded server would)",
+        help="disable request coalescing (each request executes "
+        "alone)",
     )
     p.add_argument(
         "--drain-timeout",
         type=float,
         default=10.0,
-        help="async only: seconds shutdown waits for admitted requests "
+        help="seconds shutdown waits for admitted requests "
         "to finish (default 10)",
     )
     p.add_argument(

@@ -1,15 +1,14 @@
-"""The asyncio serving tier: admission control + request coalescing.
+"""``repro serve``: the serving tier, admission control + coalescing.
 
-This package is the high-concurrency front end for an index: one event
-loop multiplexing every connection, bounded admission queues answering
-429 + ``Retry-After`` under overload (instead of the thread-per-client
-collapse of the stdlib HTTP server), and a coalescing dispatcher that
-fuses concurrent singleton requests into the engine's batch entry
-points (``execute_many`` for reads, one group-commit ``insert_many``
-per write batch). It speaks a pipelined JSONL protocol plus an
-HTTP/1.1 shim on the same port, so the existing
-:class:`~repro.cluster.client.ServeClient` works unchanged. Start it
-with ``repro serve --async`` or embed it::
+This package is the one network front end for an index: one event loop
+multiplexing every connection, bounded admission queues answering
+429 + ``Retry-After`` under overload (never a thread per client), and a
+coalescing dispatcher that fuses concurrent singleton requests into the
+engine's batch entry points (``execute_many`` for reads, one
+group-commit ``insert_many`` per write batch). It speaks a pipelined
+JSONL protocol plus an HTTP/1.1 shim on the same port, so the stdlib
+:class:`~repro.cluster.client.ServeClient` talks to it too. Start it
+with ``repro serve`` or embed it::
 
     from repro import connect
     from repro.serve import serve_async

@@ -36,7 +36,7 @@ class CoalesceConfig:
         the wait (batches still form from whatever is already queued).
     coalesce_reads / coalesce_writes:
         Disable fusing per direction; requests then execute one per
-        batch, exactly as the threaded server would. The benchmark's
+        batch. The benchmark's
         baseline server runs with ``coalesce_reads=False``.
     """
 

@@ -1,4 +1,4 @@
-"""The asyncio serving tier: pipelined JSONL + HTTP shim over a pool.
+"""``repro serve``: pipelined JSONL + an HTTP shim over a session pool.
 
 One event loop owns every connection; query execution runs on a small
 ``ThreadPoolExecutor`` with exactly one worker per pool session, so the
@@ -13,13 +13,21 @@ the first line:
   per line — ``{"op": "query", "id": 7, "queries": [spec, ...]}`` — with
   responses echoing ``id`` and possibly arriving out of order, so a
   client may keep many requests in flight on one keep-alive connection.
-* **HTTP/1.1 shim** (anything else): the exact endpoint contract of the
-  threaded :class:`~repro.cluster.server.QueryServer` (``POST /query``,
-  ``POST /insert``, ``POST /delete``, ``GET /healthz``, ``GET
-  /stats``), so the stdlib
-  :class:`~repro.cluster.client.ServeClient` works unchanged. Requests
-  on one HTTP connection are answered in order (responses to *different*
-  connections interleave freely).
+* **HTTP/1.1 shim** (anything else): ``POST /query``, ``POST /insert``,
+  ``POST /delete``, ``GET /healthz``, ``GET /stats`` and ``GET
+  /metrics``, the contract of the stdlib
+  :class:`~repro.cluster.client.ServeClient`
+  (``docs/wire-protocol.md``). Requests on one HTTP connection are
+  answered in order (responses to *different* connections interleave
+  freely).
+
+The session pool: slot 0 is the primary session and takes every write;
+``session_factory`` opens the ``pool_size - 1`` read replicas. An
+accepted write on a multi-slot pool flushes the primary (shipping
+replica files / publishing a checkpoint generation) and bumps the
+pool's data version; a replica slot that predates it is reopened
+through the factory before it serves again, so reads through any slot
+are read-your-writes consistent.
 
 The dispatcher implements **request coalescing**: it first waits for a
 free pool session, then collects a round-robin batch of queued read
@@ -47,9 +55,8 @@ import json
 import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
-from typing import Awaitable, Callable, Sequence
+from typing import Any, Awaitable, Callable
 
-from repro.cluster.server import MAX_BODY_BYTES, ServingStats
 from repro.cluster.wire import (
     WireError,
     pfv_from_json,
@@ -83,6 +90,14 @@ __all__ = ["AsyncQueryServer", "serve_async"]
 #: asyncio stream reader's buffer limit.
 MAX_LINE_BYTES = 16 * 1024 * 1024
 
+#: Refuse request bodies above this size (64 MiB) — a malformed client
+#: should get a 413, not an allocation storm.
+MAX_BODY_BYTES = 64 * 1024 * 1024
+
+#: Most header lines one HTTP request may carry (the stdlib
+#: ``http.client`` bound); one more answers 431.
+MAX_HEADERS = 100
+
 _HTTP_REASONS = {
     200: "OK",
     400: "Bad Request",
@@ -90,9 +105,71 @@ _HTTP_REASONS = {
     404: "Not Found",
     413: "Payload Too Large",
     429: "Too Many Requests",
+    431: "Request Header Fields Too Large",
     500: "Internal Server Error",
     503: "Service Unavailable",
 }
+
+
+class ServingStats:
+    """Cumulative counters behind ``GET /stats``.
+
+    Updated only on the event loop, so no lock; the admission and
+    coalescing counters join them in the ``/stats`` payload.
+    """
+
+    def __init__(self) -> None:
+        self.started_at = time.time()
+        self.batches = 0
+        self.queries = 0
+        self.by_kind: dict[str, int] = {}
+        self.errors = 0
+        self.inserts = 0
+        self.insert_batches = 0
+        self.deletes = 0
+        self.delete_batches = 0
+        self.pages_accessed = 0
+        self.objects_refined = 0
+        self.execute_seconds = 0.0
+
+    def record(self, specs, stats, elapsed: float) -> None:
+        self.batches += 1
+        self.queries += len(specs)
+        for spec in specs:
+            self.by_kind[spec.kind] = self.by_kind.get(spec.kind, 0) + 1
+        self.pages_accessed += stats.pages_accessed
+        self.objects_refined += stats.objects_refined
+        self.execute_seconds += elapsed
+
+    def record_writes(self, op: str, count: int, elapsed: float) -> None:
+        """One ``insert`` or ``delete`` batch: ``count`` vectors inserted,
+        or found and deleted."""
+        if op == "insert":
+            self.inserts += count
+            self.insert_batches += 1
+        else:
+            self.deletes += count
+            self.delete_batches += 1
+        self.execute_seconds += elapsed
+
+    def record_error(self) -> None:
+        self.errors += 1
+
+    def snapshot(self) -> dict:
+        return {
+            "uptime_seconds": round(time.time() - self.started_at, 3),
+            "batches": self.batches,
+            "queries": self.queries,
+            "queries_by_kind": dict(self.by_kind),
+            "errors": self.errors,
+            "inserts": self.inserts,
+            "insert_batches": self.insert_batches,
+            "deletes": self.deletes,
+            "delete_batches": self.delete_batches,
+            "pages_accessed": self.pages_accessed,
+            "objects_refined": self.objects_refined,
+            "execute_seconds": round(self.execute_seconds, 4),
+        }
 
 
 class _Pending:
@@ -128,13 +205,13 @@ class _Pending:
 
 
 class AsyncQueryServer:
-    """The asyncio serving endpoint (see the module docstring).
+    """The serving endpoint (see the module docstring).
 
-    Parameters mirror :class:`~repro.cluster.server.QueryServer`
-    (``session`` is pool slot 0 and takes every write; ``session_factory``
-    opens the ``pool_size - 1`` read replicas at start), plus the
-    serving-tier knobs: ``admission`` bounds the request queues and
-    ``coalesce`` sets the batching window (``repro serve --async``
+    ``session`` is pool slot 0 and takes every write; ``session_factory``
+    (required when ``pool_size > 1``) opens the ``pool_size - 1`` read
+    replicas at each start. ``port=0`` binds an ephemeral port, readable
+    as :attr:`address` once started. ``admission`` bounds the request
+    queues and ``coalesce`` sets the batching window (``repro serve``
     surfaces both). ``drain_timeout`` caps how long :meth:`shutdown`
     waits for admitted requests to finish.
 
@@ -160,7 +237,6 @@ class AsyncQueryServer:
         admission: AdmissionConfig | None = None,
         coalesce: CoalesceConfig | None = None,
         drain_timeout: float = 10.0,
-        verbose: bool = False,
         registry: MetricsRegistry | None = None,
         slow_query_log: SlowQueryLog | str | None = None,
         slow_query_ms: float = 250.0,
@@ -180,7 +256,6 @@ class AsyncQueryServer:
         self.admission_config = admission or AdmissionConfig()
         self.coalesce = coalesce or CoalesceConfig()
         self.drain_timeout = drain_timeout
-        self.verbose = verbose
         self.stats = ServingStats()
         self.registry = registry if registry is not None else MetricsRegistry()
         if isinstance(slow_query_log, SlowQueryLog):
@@ -210,7 +285,8 @@ class AsyncQueryServer:
         )
         self._m_write_batches = m.counter(
             "repro_serve_write_batches_total",
-            "insert_many group-commit batches dispatched.",
+            "Write batches dispatched (insert_many group commits and "
+            "delete passes).",
         )
         self._m_coalesced_inserts = m.counter(
             "repro_serve_coalesced_inserts_total",
@@ -262,16 +338,17 @@ class AsyncQueryServer:
         host, port = self.address
         return f"http://{host}:{port}"
 
-    def serve_forever(self) -> None:
-        """Run the event loop in the calling thread until shutdown
-        (the ``repro serve --async`` foreground mode)."""
-        asyncio.run(self._main())
-
     def serve_in_background(self) -> "AsyncQueryServer":
         """Run the event loop in a daemon thread; returns once the
-        listening socket is bound (tests, benchmarks, embedding)."""
+        listening socket is bound (tests, benchmarks, embedding). A
+        server stopped by :meth:`shutdown` may be started again: the
+        replica sessions reopen through the factory."""
         if self._thread is not None:
             raise RuntimeError("server is already started")
+        self._started.clear()
+        self._stop_requested.clear()
+        self._drained.clear()
+        self._start_error = None
         self._thread = threading.Thread(
             target=self._thread_main, name="repro-serve-async", daemon=True
         )
@@ -533,18 +610,11 @@ class AsyncQueryServer:
             if not items:
                 await self._release_slot(slot)
                 continue
-            if op == "insert":
-                task = asyncio.ensure_future(
-                    self._run_insert_batch(slot, items)
-                )
-            elif op == "delete":
-                task = asyncio.ensure_future(
-                    self._run_delete_batch(slot, items)
-                )
-            else:
-                task = asyncio.ensure_future(
-                    self._run_read_batch(slot, items)
-                )
+            run = (
+                self._run_read_batch if op == "query"
+                else self._run_write_batch
+            )
+            task = asyncio.ensure_future(run(slot, items))
             self._inflight.add(task)
             task.add_done_callback(self._inflight.discard)
 
@@ -573,22 +643,51 @@ class AsyncQueryServer:
 
     # -- batch execution -----------------------------------------------------
 
-    def _record_batch_metrics(self, items: list, dispatched: float) -> None:
-        """Observe batch width and each member's queue wait."""
+    def _start_batch(
+        self, items: list
+    ) -> tuple[float, "obs_trace.Trace | None"]:
+        """Observe batch width and each member's queue wait; return the
+        dispatch instant and, when any member asked for a trace, the
+        batch trace. The engine runs once for the whole batch, so its
+        spans are genuinely shared: each traced request gets them
+        grafted under its own root, shifted into request-relative time
+        (:meth:`_finish_item_trace`)."""
+        dispatched = time.perf_counter()
         self._m_batch_size.observe(sum(it.weight for it in items))
         for it in items:
             self._m_admission_wait.observe(dispatched - it.enqueued_at)
+        traced = any(it.trace is not None for it in items)
+        return dispatched, (
+            obs_trace.Trace(epoch=dispatched) if traced else None
+        )
+
+    async def _execute(
+        self, slot: int, items: list, run: Callable[[], Awaitable[Any]]
+    ) -> Any:
+        """Await ``run()`` (the batch's engine work) while the batch
+        holds ``slot``. On failure, release the slot, answer every
+        member 500 and return ``None``; on success the caller releases."""
+        try:
+            return await run()
+        except asyncio.CancelledError:
+            await self._release_slot(slot)
+            raise
+        except Exception as exc:
+            await self._release_slot(slot)
+            message = f"{type(exc).__name__}: {exc}"
+            for it in items:
+                await self._answer(it, 500, {"error": message})
+            return None
+
+    async def _end_batch(self, slot: int, items: list, elapsed: float) -> None:
+        """Release a successful batch's slot and observe its run."""
+        await self._release_slot(slot)
+        self._m_execute.observe(elapsed)
+        self._m_demux.observe(len(items))
 
     async def _run_read_batch(self, slot: int, items: list) -> None:
         specs = [s for it in items for s in it.specs]
-        dispatched = time.perf_counter()
-        self._record_batch_metrics(items, dispatched)
-        # One batch trace serves every traced member: execute_many runs
-        # once for the whole batch, so its spans are genuinely shared —
-        # each traced request gets them grafted under its own root,
-        # shifted into request-relative time.
-        traced = any(it.trace is not None for it in items)
-        batch_trace = obs_trace.Trace(epoch=dispatched) if traced else None
+        dispatched, batch_trace = self._start_batch(items)
         slow = self.slow_log
 
         def run_batch(session: Session):
@@ -610,26 +709,20 @@ class AsyncQueryServer:
                     plan = None
             return result, spent, plan
 
-        try:
+        async def run():
             session = await self._reading_session(slot)
-            rs: ResultSet
-            rs, elapsed, plan = await self._loop.run_in_executor(
+            return await self._loop.run_in_executor(
                 self._executor, run_batch, session
             )
-        except asyncio.CancelledError:
-            await self._release_slot(slot)
-            raise
-        except Exception as exc:
-            await self._release_slot(slot)
-            message = f"{type(exc).__name__}: {exc}"
-            for it in items:
-                await self._answer(it, 500, {"error": message})
+
+        done = await self._execute(slot, items, run)
+        if done is None:
             return
-        await self._release_slot(slot)
+        rs: ResultSet
+        rs, elapsed, plan = done
+        await self._end_batch(slot, items, elapsed)
         self.stats.record(specs, rs.stats, elapsed)
-        self._m_execute.observe(elapsed)
         self._m_read_batches.inc()
-        self._m_demux.observe(len(items))
         if len(items) > 1:
             self._m_coalesced_reads.inc(len(items))
         payload = result_to_json(rs)
@@ -737,118 +830,71 @@ class AsyncQueryServer:
                 pass
         return self._sessions[slot]
 
-    async def _run_insert_batch(self, slot: int, items: list) -> None:
-        vectors = [v for it in items for v in it.vectors]
-        dispatched = time.perf_counter()
-        self._record_batch_metrics(items, dispatched)
-        traced = any(it.trace is not None for it in items)
-        batch_trace = obs_trace.Trace(epoch=dispatched) if traced else None
+    async def _run_write_batch(self, slot: int, items: list) -> None:
+        """One coalesced ``insert`` or ``delete`` batch (all members
+        share ``op``) on the primary, slot 0. Each member's count is the
+        vectors it inserted, or the vectors found and deleted."""
+        op = items[0].op
+        dispatched, batch_trace = self._start_batch(items)
+        session = self.session
+        publish = self.pool_size > 1
 
-        def apply() -> int:
-            # One insert_many = one group-commit WAL transaction per
-            # touched index: every coalesced client shares its fsync.
-            # The trace activates on the executor thread (contextvars
-            # don't cross run_in_executor) so wal.commit spans attach.
+        def apply() -> tuple[list[int], float, int]:
+            # An insert batch is one insert_many: one group-commit WAL
+            # transaction per touched index, its fsync shared by every
+            # coalesced client. A vector absent from the index is a
+            # clean delete miss (False, no WAL commit): it lowers that
+            # request's count, never fails the batch. The trace
+            # activates on the executor thread (contextvars don't cross
+            # run_in_executor) so wal.commit spans attach.
+            t0 = time.perf_counter()
             with obs_trace.tracing(batch_trace):
-                count = self.session.insert_many(vectors)
-                if self.pool_size > 1:
-                    self.session.flush()
-            return count
+                if op == "insert":
+                    session.insert_many(
+                        [v for it in items for v in it.vectors]
+                    )
+                    counts = [len(it.vectors) for it in items]
+                else:
+                    counts = [
+                        sum(1 for v in it.vectors if session.delete(v))
+                        for it in items
+                    ]
+                if publish and sum(counts) > 0:
+                    # Publish for the replica slots: ships replica files
+                    # / checkpoints a new index generation.
+                    session.flush()
+            return counts, time.perf_counter() - t0, len(session)
 
-        try:
-            started = time.perf_counter()
-            await self._loop.run_in_executor(self._executor, apply)
-            objects = len(self.session)
-            elapsed = time.perf_counter() - started
-        except asyncio.CancelledError:
-            await self._release_slot(slot)
-            raise
-        except Exception as exc:
-            await self._release_slot(slot)
-            message = f"{type(exc).__name__}: {exc}"
-            for it in items:
-                await self._answer(it, 500, {"error": message})
+        done = await self._execute(
+            slot, items,
+            lambda: self._loop.run_in_executor(self._executor, apply),
+        )
+        if done is None:
             return
-        if self.pool_size > 1:
+        counts, elapsed, objects = done
+        if publish and sum(counts) > 0:
+            # Replica slots now predate the data: _reading_session
+            # reopens each before it serves again (read-your-writes).
             self._version += 1
             self._slot_versions[0] = self._version
-        await self._release_slot(slot)
-        self.stats.record_inserts(len(vectors), elapsed)
-        self._m_execute.observe(elapsed)
+        await self._end_batch(slot, items, elapsed)
+        self.stats.record_writes(op, sum(counts), elapsed)
         self._m_write_batches.inc()
-        self._m_demux.observe(len(items))
-        if len(items) > 1:
-            self._m_coalesced_inserts.inc(len(vectors))
-        for it in items:
-            # Acked only after the shared fsync returned.
-            part = {
-                "inserted": len(it.vectors),
-                "objects": objects,
-                "execute_seconds": round(elapsed, 6),
-                "coalesced": len(items),
-            }
-            trace_dict = self._finish_item_trace(
-                it, dispatched, elapsed, batch_trace, len(vectors),
-                "serve.insert",
-            )
-            if trace_dict is not None:
-                part["trace"] = trace_dict
-            await self._answer(it, 200, part)
-
-    async def _run_delete_batch(self, slot: int, items: list) -> None:
-        dispatched = time.perf_counter()
-        self._record_batch_metrics(items, dispatched)
-        traced = any(it.trace is not None for it in items)
-        batch_trace = obs_trace.Trace(epoch=dispatched) if traced else None
-
-        def apply() -> list[int]:
-            # Deletes serialize on the primary like inserts; a vector
-            # absent from the index is a clean miss (False from
-            # Session.delete, no WAL commit), so the batch never fails
-            # on stale client state — it just reports a lower count.
-            with obs_trace.tracing(batch_trace):
-                found = [
-                    sum(1 for v in it.vectors if self.session.delete(v))
-                    for it in items
-                ]
-                if self.pool_size > 1 and any(found):
-                    self.session.flush()
-            return found
-
-        try:
-            started = time.perf_counter()
-            found = await self._loop.run_in_executor(self._executor, apply)
-            objects = len(self.session)
-            elapsed = time.perf_counter() - started
-        except asyncio.CancelledError:
-            await self._release_slot(slot)
-            raise
-        except Exception as exc:
-            await self._release_slot(slot)
-            message = f"{type(exc).__name__}: {exc}"
-            for it in items:
-                await self._answer(it, 500, {"error": message})
-            return
-        if self.pool_size > 1 and any(found):
-            self._version += 1
-            self._slot_versions[0] = self._version
-        await self._release_slot(slot)
-        self.stats.record_deletes(sum(found), elapsed)
-        self._m_execute.observe(elapsed)
-        self._m_write_batches.inc()
-        self._m_demux.observe(len(items))
         n_vectors = sum(len(it.vectors) for it in items)
-        for it, n_found in zip(items, found):
-            part = {
-                "deleted": n_found,
-                "requested": len(it.vectors),
-                "objects": objects,
-                "execute_seconds": round(elapsed, 6),
-                "coalesced": len(items),
-            }
+        if op == "insert" and len(items) > 1:
+            self._m_coalesced_inserts.inc(n_vectors)
+        for it, count in zip(items, counts):
+            # Acked only after the batch's WAL commits returned.
+            if op == "insert":
+                part = {"inserted": count}
+            else:
+                part = {"deleted": count, "requested": len(it.vectors)}
+            part["objects"] = objects
+            part["execute_seconds"] = round(elapsed, 6)
+            part["coalesced"] = len(items)
             trace_dict = self._finish_item_trace(
                 it, dispatched, elapsed, batch_trace, n_vectors,
-                "serve.delete",
+                f"serve.{op}",
             )
             if trace_dict is not None:
                 part["trace"] = trace_dict
@@ -1008,10 +1054,20 @@ class AsyncQueryServer:
             )
             return False
         headers: dict[str, str] = {}
+        n_headers = 0
         while True:
             hline = await reader.readline()
             if hline in (b"\r\n", b"\n", b""):
                 break
+            n_headers += 1
+            if n_headers > MAX_HEADERS:
+                await self._write_http(
+                    writer,
+                    lock,
+                    431,
+                    {"error": f"more than {MAX_HEADERS} header lines"},
+                )
+                return False
             name, _, value = hline.decode("latin-1").partition(":")
             headers[name.strip().lower()] = value.strip()
         try:
@@ -1065,6 +1121,15 @@ class AsyncQueryServer:
                     {"error": f"request body is not JSON: {exc}"},
                 )
                 return False
+            if not isinstance(payload, dict):
+                await self._write_http(
+                    writer,
+                    lock,
+                    400,
+                    {"error": "request body must be a JSON object, got "
+                     f"{type(payload).__name__}"},
+                )
+                return headers.get("connection", "").lower() != "close"
         else:
             payload = {}
         # X-Repro-Trace asks for a traced request (the header's value
@@ -1164,8 +1229,9 @@ class AsyncQueryServer:
                     400,
                     {
                         "error": "write specs are not served by query; "
-                        "send the vectors through insert or delete "
-                        "(writes serialize on the primary session)"
+                        "send the vectors to /insert or /delete (JSONL "
+                        "ops insert/delete), which serialize on the "
+                        "primary session"
                     },
                 )
                 return
@@ -1184,10 +1250,12 @@ class AsyncQueryServer:
                 return
             try:
                 raw = payload.get("vectors")
-                if not isinstance(raw, list):
+                if raw is None:
                     raise WireError(
                         f'{op} body must be {{"vectors": [pfv, ...]}}'
                     )
+                if not isinstance(raw, list):
+                    raise WireError('"vectors" must be a list of pfv objects')
                 vectors = [pfv_from_json(v) for v in raw]
             except WireError as exc:
                 await reply(400, {"error": str(exc)})
@@ -1250,14 +1318,13 @@ def serve_async(
     admission: AdmissionConfig | None = None,
     coalesce: CoalesceConfig | None = None,
     drain_timeout: float = 10.0,
-    verbose: bool = False,
     registry: MetricsRegistry | None = None,
     slow_query_log: SlowQueryLog | str | None = None,
     slow_query_ms: float = 250.0,
 ) -> AsyncQueryServer:
-    """Start the asyncio serving tier in a background thread; returns
-    the running :class:`AsyncQueryServer` (use as a context manager to
-    drain and stop). The async twin of :func:`repro.cluster.serve`."""
+    """Start the serving endpoint in a background thread; returns the
+    running :class:`AsyncQueryServer` (use as a context manager to
+    drain and stop)."""
     return AsyncQueryServer(
         session,
         host,
@@ -1267,7 +1334,6 @@ def serve_async(
         admission=admission,
         coalesce=coalesce,
         drain_timeout=drain_timeout,
-        verbose=verbose,
         registry=registry,
         slow_query_log=slow_query_log,
         slow_query_ms=slow_query_ms,

@@ -1,20 +1,28 @@
-"""The ``repro serve`` HTTP endpoint and its stdlib client.
+"""The HTTP contract of ``repro serve`` and its stdlib client.
 
-A real ThreadingHTTPServer on an ephemeral port per test module: the
-wire answers must match a direct ``Session.execute_many`` bit for bit,
+A real :class:`~repro.serve.AsyncQueryServer` on an ephemeral port per
+test module, driven through :class:`ServeClient` and raw HTTP: the wire
+answers must match a direct ``Session.execute_many`` bit for bit,
 malformed requests must come back as structured JSON errors (never a
-hung connection or a dead handler thread), and concurrent clients must
-all be answered.
+dropped connection or a dead server), concurrent clients must all be
+answered, and every pool slot must read its own writes.
 """
 
 import json
+import socket
 import threading
 import urllib.request
 
 import pytest
 
-from repro.cluster import QueryServer, RemoteError, ServeClient, serve
+from repro.cluster import RemoteError, ServeClient
 from repro.engine import MLIQ, TIQ, RankQuery, connect
+from repro.serve import (
+    AsyncQueryServer,
+    CoalesceConfig,
+    JsonlClient,
+    serve_async,
+)
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -23,7 +31,7 @@ from tests.conftest import make_random_db, make_random_query
 def served():
     db = make_random_db(n=40, seed=50)
     session = connect(db, backend="sharded", shards=2)
-    with serve(session, port=0) as server:
+    with serve_async(session, port=0) as server:
         yield server, session, db
     session.close()
 
@@ -148,8 +156,6 @@ def test_oversized_body_rejection_does_not_corrupt_the_connection(served):
     """Early rejects (body never read) must drop the keep-alive
     connection — otherwise the unread body bytes would be parsed as the
     next request line on that connection."""
-    import socket
-
     server, _, _ = served
     host, port = server.address
     with socket.create_connection((host, port), timeout=30) as sock:
@@ -212,13 +218,13 @@ def test_concurrent_clients_are_all_answered(served, client):
 def test_double_start_and_address_before_start_raise():
     db = make_random_db(n=5, seed=56)
     with connect(db, backend="tree") as session:
-        server = QueryServer(session, port=0)
+        server = AsyncQueryServer(session, port=0)
         with pytest.raises(RuntimeError, match="not started"):
             server.address
-        server.start()
+        server.serve_in_background()
         try:
             with pytest.raises(RuntimeError, match="already started"):
-                server.start()
+                server.serve_in_background()
         finally:
             server.shutdown()
 
@@ -242,13 +248,18 @@ def test_stats_expose_session_pool_utilisation(served, client):
 
 def test_pooled_sessions_serve_concurrent_queries(served):
     """pool_size=3: concurrent clients spread over the replicas (no
-    single execution lock) and all answer identically."""
+    single execution lock) and all answer identically. Read coalescing
+    is off so every request is its own batch."""
     _, session, db = served
     factory = lambda: connect(db, backend="sharded", shards=2)  # noqa: E731
     q = make_random_query(seed=57)
     primary = connect(db, backend="sharded", shards=2)
-    with serve(
-        primary, port=0, session_factory=factory, pool_size=3
+    with serve_async(
+        primary,
+        port=0,
+        session_factory=factory,
+        pool_size=3,
+        coalesce=CoalesceConfig(coalesce_reads=False),
     ) as server:
         client = ServeClient(server.url, timeout=30)
         expected = client.query(MLIQ(q, 4)).keys()[0]
@@ -281,9 +292,9 @@ def test_pool_size_above_one_requires_a_factory():
     db = make_random_db(n=5, seed=58)
     with connect(db, backend="tree") as session:
         with pytest.raises(ValueError, match="session_factory"):
-            QueryServer(session, port=0, pool_size=2)
+            AsyncQueryServer(session, port=0, pool_size=2)
         with pytest.raises(ValueError, match="pool_size"):
-            QueryServer(session, port=0, pool_size=0)
+            AsyncQueryServer(session, port=0, pool_size=0)
 
 
 def test_insert_endpoint_round_trip_and_stats():
@@ -292,7 +303,7 @@ def test_insert_endpoint_round_trip_and_stats():
     db = make_random_db(n=20, seed=59)
     session = connect(db, backend="sharded", shards=2, inner="tree",
                       writable=True)
-    with serve(session, port=0) as server:
+    with serve_async(session, port=0) as server:
         client = ServeClient(server.url, timeout=30)
         fresh = [
             PFV([0.4, 0.4, 0.4 + 0.01 * i], [0.1, 0.1, 0.1], key=("srv", i))
@@ -348,7 +359,7 @@ def test_query_endpoint_refuses_write_specs(served):
 def test_insert_endpoint_validates_bodies():
     db = make_random_db(n=5, seed=70)
     session = connect(db, backend="tree")
-    with serve(session, port=0) as server:
+    with serve_async(session, port=0) as server:
         for body, fragment in (
             (b'{"nope": []}', "vectors"),
             (b'{"vectors": {}}', "must be a list"),
@@ -386,55 +397,104 @@ def test_write_spec_wire_round_trip():
         assert list(back.v.sigma) == list(spec.v.sigma)
 
 
+def _replica_deployment(tmp_path, seed):
+    """A writable 2-shard primary (1 replica per shard) plus a factory
+    opening read-only sessions over the same manifest."""
+    from repro.cluster.partition import build_shards
+
+    db = make_random_db(n=20, seed=seed)
+    manifest = build_shards(db, 2, str(tmp_path / "ryw"), replicas=1)
+    primary = connect(manifest.source_path, backend="sharded", writable=True)
+    factory = lambda: connect(manifest.source_path, backend="sharded")  # noqa: E731
+    return primary, factory
+
+
+def _keys_seen_by_every_slot(server, probe, k, pool_size):
+    """Pipeline enough one-query requests that every pool slot serves
+    at least one (read coalescing off, so each request is a batch and
+    the dispatcher hands queued batches to successive free slots);
+    return the key set each request saw."""
+    host, port = server.address
+    with JsonlClient(host, port) as client:
+        before = client.stats()["session_pool"]["batches_per_session"]
+        spec = {"kind": "mliq", "mu": list(probe.mu),
+                "sigma": list(probe.sigma), "k": k}
+        rids = [
+            client.send("query", queries=[spec])
+            for _ in range(3 * pool_size)
+        ]
+        answers = [client.recv_for(rid) for rid in rids]
+        after = client.stats()["session_pool"]["batches_per_session"]
+    assert all(a["status"] == 200 for a in answers)
+    assert all(b > a for a, b in zip(before, after)), (before, after)
+    return [
+        {tuple(key) if isinstance(key, list) else key
+         for key in (m["key"] for m in a["results"][0])}
+        for a in answers
+    ]
+
+
 def test_insert_is_read_your_writes_through_replica_sessions(tmp_path):
     """Replica-backed pools are read-your-writes (regression): an
     accepted ``/insert`` flushes the primary, WAL-ships the shards'
     replicas and marks every pooled replica session stale, so a query
-    served by *any* pool slot — refreshed on acquire — sees the write.
-    Before the fix, replica slots served pre-insert snapshots."""
-    from repro.cluster.partition import build_shards
+    served by *any* pool slot — refreshed before it serves — sees the
+    write. Before the fix, replica slots served pre-insert snapshots."""
     from repro.core.pfv import PFV
 
-    db = make_random_db(n=20, seed=73)
-    manifest = build_shards(db, 2, str(tmp_path / "ryw"), replicas=1)
-    primary = connect(manifest.source_path, backend="sharded", writable=True)
-    factory = lambda: connect(manifest.source_path, backend="sharded")  # noqa: E731
-    with serve(
-        primary, port=0, session_factory=factory, pool_size=3
+    primary, factory = _replica_deployment(tmp_path, seed=73)
+    with serve_async(
+        primary,
+        port=0,
+        session_factory=factory,
+        pool_size=3,
+        coalesce=CoalesceConfig(coalesce_reads=False),
     ) as server:
         client = ServeClient(server.url, timeout=30)
         fresh = [
             PFV([0.45, 0.45, 0.45 + 0.01 * i], [0.1] * 3, key=("ryw", i))
             for i in range(4)
         ]
+        # Every slot reads once first: shard files open lazily, so a
+        # slot that never served would see the write without a refresh.
+        _keys_seen_by_every_slot(server, fresh[0], 20, 3)
         assert client.insert(fresh)["objects"] == 24
         expected = {("ryw", i) for i in range(4)}
-        results: list = [None] * 9
-        errors: list = []
-
-        def hit(i):
-            try:
-                answer = client.query(MLIQ(fresh[0], 24))
-                results[i] = {
-                    tuple(k) if isinstance(k, list) else k
-                    for k in answer.keys()[0]
-                }
-            except Exception as exc:  # pragma: no cover
-                errors.append(exc)
-
-        # Concurrent queries spread over all three pool slots; every
-        # slot (primary and both replica sessions) must see the insert.
-        threads = [
-            threading.Thread(target=hit, args=(i,))
-            for i in range(len(results))
-        ]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join(timeout=60)
-        assert not errors
-        for seen in results:
+        for seen in _keys_seen_by_every_slot(server, fresh[0], 24, 3):
             assert expected <= seen
+    primary.close()
+
+
+def test_delete_is_read_your_writes_through_replica_sessions(tmp_path):
+    """Insert then delete through a 3-slot pool: every slot sees the
+    insert, then every slot sees the delete."""
+    from repro.core.pfv import PFV
+
+    primary, factory = _replica_deployment(tmp_path, seed=74)
+    with serve_async(
+        primary,
+        port=0,
+        session_factory=factory,
+        pool_size=3,
+        coalesce=CoalesceConfig(coalesce_reads=False),
+    ) as server:
+        client = ServeClient(server.url, timeout=30)
+        fresh = [
+            PFV([0.55, 0.45, 0.45 + 0.01 * i], [0.1] * 3, key=("del", i))
+            for i in range(3)
+        ]
+        assert client.insert(fresh)["objects"] == 23
+        keys = {("del", i) for i in range(3)}
+        for seen in _keys_seen_by_every_slot(server, fresh[0], 23, 3):
+            assert keys <= seen
+        reply = client.delete(fresh[:2])
+        assert (reply["deleted"], reply["requested"]) == (2, 2)
+        assert reply["objects"] == 21
+        for seen in _keys_seen_by_every_slot(server, fresh[0], 21, 3):
+            assert ("del", 2) in seen
+            assert not keys - {("del", 2)} & seen
+        stats = client.stats()
+        assert (stats["deletes"], stats["delete_batches"]) == (2, 1)
     primary.close()
 
 
@@ -443,23 +503,86 @@ def test_restarted_server_reopens_fresh_replicas():
     not hand queries to those closed sessions (regression)."""
     db = make_random_db(n=10, seed=71)
     primary = connect(db, backend="tree")
-    server = QueryServer(
+    server = AsyncQueryServer(
         primary,
         port=0,
         session_factory=lambda: connect(db, backend="tree"),
         pool_size=2,
+        coalesce=CoalesceConfig(coalesce_reads=False),
     )
+    probe = make_random_query(seed=72)
     try:
         server.serve_in_background()
         client = ServeClient(server.url, timeout=30)
-        client.query(MLIQ(make_random_query(seed=72), 2))
+        client.query(MLIQ(probe, 2))
         server.shutdown()
         server.serve_in_background()
-        client = ServeClient(server.url, timeout=30)
-        for _ in range(6):  # enough batches to hit every pool slot
-            answer = client.query(MLIQ(make_random_query(seed=72), 2))
-            assert len(answer.results[0]) == 2
-        assert client.stats()["session_pool"]["size"] == 2
+        for seen in _keys_seen_by_every_slot(server, probe, 2, 2):
+            assert len(seen) == 2
+        assert ServeClient(server.url).stats()["session_pool"]["size"] == 2
     finally:
         server.shutdown()
         primary.close()
+
+
+# ---------------------------------------------------------------------------
+# Malformed HTTP: every probe gets a JSON 4xx and the server keeps serving
+# ---------------------------------------------------------------------------
+
+
+def _raw_http(server, head: str, body: bytes = b"") -> tuple[int, dict]:
+    """Send one raw HTTP request on a fresh connection; return the
+    status and the parsed JSON body of the response."""
+    with socket.create_connection(server.address, timeout=30) as sock:
+        sock.sendall(head.encode("latin-1") + body)
+        data = b""
+        while b"\r\n\r\n" not in data:
+            chunk = sock.recv(65536)
+            assert chunk, f"connection closed without a response: {data!r}"
+            data += chunk
+        head_bytes, _, rest = data.partition(b"\r\n\r\n")
+        lines = head_bytes.decode("latin-1").split("\r\n")
+        status = int(lines[0].split()[1])
+        length = next(
+            int(line.split(":", 1)[1])
+            for line in lines[1:]
+            if line.lower().startswith("content-length:")
+        )
+        while len(rest) < length:
+            chunk = sock.recv(65536)
+            assert chunk, "connection closed mid-body"
+            rest += chunk
+    return status, json.loads(rest[:length])
+
+
+@pytest.mark.parametrize("trace_header", [False, True])
+@pytest.mark.parametrize("body", [b"[1]", b'"x"', b"3"])
+def test_non_object_json_body_answers_400(served, body, trace_header):
+    server, _, _ = served
+    head = (
+        "POST /query HTTP/1.1\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n"
+        + ("X-Repro-Trace: abc\r\n" if trace_header else "")
+        + "\r\n"
+    )
+    status, payload = _raw_http(server, head, body)
+    assert status == 400
+    assert "JSON object" in payload["error"]
+    assert ServeClient(server.url, timeout=30).healthz()["status"] == "ok"
+
+
+def test_header_count_is_bounded(served):
+    server, _, _ = served
+    many = "".join(f"X-Filler-{i}: {i}\r\n" for i in range(101))
+    status, payload = _raw_http(
+        server, "GET /healthz HTTP/1.1\r\n" + many + "\r\n"
+    )
+    assert status == 431
+    assert "header" in payload["error"]
+    # One header fewer is within the bound.
+    status, payload = _raw_http(
+        server, "GET /healthz HTTP/1.1\r\n" + many[: many.index("X-Filler-100")]
+        + "\r\n"
+    )
+    assert (status, payload["status"]) == (200, "ok")

@@ -1,8 +1,8 @@
 """End-to-end observability: /metrics, trace propagation, slow queries.
 
 Real servers on ephemeral ports, as in the serving test files. The
-pinned properties are the tentpole's acceptance bar: ``GET /metrics``
-speaks Prometheus text on both serving tiers and exposes the series
+pinned properties are: ``GET /metrics`` speaks Prometheus text over
+both JSONL and HTTP and exposes the series
 catalogue (admission, coalescing, pool, cluster fan-out, buffer, WAL);
 a traced request answers with a span tree covering client → admission →
 coalesce → shard; tracing N pipelined requests yields N distinct trees
@@ -17,7 +17,7 @@ import urllib.request
 
 import pytest
 
-from repro.cluster import ClusterError, SerialPool, ServeClient, serve
+from repro.cluster import ClusterError, SerialPool, ServeClient
 from repro.core.pfv import PFV
 from repro.engine import MLIQ, TIQ, connect
 from repro.obs import NullRegistry
@@ -146,12 +146,12 @@ class TestMetricsExposition:
         ) + 2
         session.close()
 
-    def test_sync_server_metrics_and_cluster_series(self):
-        """The threaded tier serves /metrics too; over a sharded
+    def test_http_metrics_carry_cluster_series(self):
+        """ServeClient scrapes /metrics over HTTP; over a sharded
         session the global registry carries the fan-out series."""
         db = make_random_db(n=40, seed=73)
         session = connect(db, backend="sharded", shards=2)
-        with serve(session, port=0) as server:
+        with serve_async(session, port=0) as server:
             client = ServeClient(server.url)
             q = make_random_query(seed=74)
             client.query([MLIQ(q, 3)])
@@ -291,27 +291,25 @@ class TestTracePropagation:
         # Untraced responses carry no tree at all.
         assert all("trace" not in p for p in plain)
 
-    def test_http_header_traces_on_both_tiers(self):
+    def test_http_header_traces_requests(self):
         db = make_random_db(n=30, seed=94)
         session = connect(db)
-        # Threaded tier: X-Repro-Trace via ServeClient.
-        with serve(session, port=0) as server:
-            answer = ServeClient(server.url).query(
+        # X-Repro-Trace via ServeClient: a supplied ID, then a minted one.
+        with serve_async(session, port=0) as server:
+            client = ServeClient(server.url)
+            answer = client.query(
                 [MLIQ(make_random_query(seed=95), 2)], trace="beefbeefbeefbeef"
             )
-            untraced = ServeClient(server.url).query(
-                [MLIQ(make_random_query(seed=95), 2)]
+            untraced = client.query([MLIQ(make_random_query(seed=95), 2)])
+            minted = client.query(
+                [MLIQ(make_random_query(seed=96), 2)], trace=True
             )
+        session.close()
         assert answer.trace["id"] == "beefbeefbeefbeef"
         assert answer.trace["spans"][0]["name"] == "request"
         assert answer.trace["spans"][0]["dur"] > 0.0
         assert untraced.trace is None
-        # Async HTTP shim honours the same header.
-        with serve_async(session, port=0) as async_server:
-            answer = ServeClient(async_server.url).query(
-                [MLIQ(make_random_query(seed=96), 2)], trace=True
-            )
-        session.close()
+        answer = minted
         assert answer.trace is not None
         assert len(answer.trace["id"]) == 16
         assert answer.trace["spans"][0]["name"] == "request"
@@ -419,11 +417,11 @@ class TestSlowQueryLog:
         assert entry["stats"]["pages_accessed"] >= 0
         assert "buffer_hit_ratio" in entry["stats"]
 
-    def test_sync_tier_logs_too(self, tmp_path):
+    def test_http_requests_are_slow_logged(self, tmp_path):
         db = make_random_db(n=40, seed=103)
         session = connect(db)
-        log_path = tmp_path / "slow-sync.jsonl"
-        with serve(
+        log_path = tmp_path / "slow-http.jsonl"
+        with serve_async(
             session,
             port=0,
             slow_query_log=str(log_path),
@@ -434,6 +432,6 @@ class TestSlowQueryLog:
             )
         session.close()
         entry = json.loads(log_path.read_text().splitlines()[0])
-        assert entry["source"] == "serve"
+        assert entry["source"] == "serve-async"
         assert entry["queries"][0]["kind"] == "tiq"
         assert entry["plan"]

@@ -4,7 +4,7 @@ The write-coalescing pillar's contract is that a 200 on ``insert``
 means the shared group-commit fsync completed — so SIGKILLing the
 server immediately after the acks and reopening the index through
 ordinary WAL recovery must surface every acked vector. The server runs
-as a real ``repro serve --async --writable`` subprocess; inserts arrive
+as a real ``repro serve --writable`` subprocess; inserts arrive
 on concurrent pipelined connections so they actually coalesce.
 """
 
@@ -52,7 +52,6 @@ def test_acked_coalesced_inserts_survive_kill_dash_nine(tmp_path):
             "serve",
             index_path,
             "--writable",
-            "--async",
             "--port",
             "0",
             # A wide window so the concurrent bursts really fuse into
