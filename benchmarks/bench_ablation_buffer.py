@@ -9,9 +9,9 @@ repeated queries run almost IO-free.
 
 import pytest
 
-from repro.core.queries import MLIQuery
 from repro.data.histograms import color_histogram_dataset
 from repro.data.workload import identification_workload
+from repro.engine.spec import MLIQ
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.mliq import gausstree_mliq
 from repro.storage.buffer import BufferManager
@@ -39,7 +39,7 @@ def _run(db, workload, cache_bytes):
     store.cold_start()
     io = faults = 0
     for item in workload:
-        _, stats = gausstree_mliq(tree, MLIQuery(item.q, 1), tolerance=0.05)
+        _, stats = gausstree_mliq(tree, MLIQ(item.q, 1), tolerance=0.05)
         io += stats.io_seconds
         faults += stats.page_faults
     return io / len(workload), faults / len(workload)

@@ -11,9 +11,9 @@ import time
 
 import pytest
 
-from repro.core.queries import MLIQuery
 from repro.data.histograms import color_histogram_dataset
 from repro.data.workload import identification_workload
+from repro.engine.spec import MLIQ
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.tree import GaussTree
@@ -31,7 +31,7 @@ def _measure_pages(tree, workload):
     pages = 0
     for item in workload:
         _, stats = gausstree_mliq(
-            tree, MLIQuery(item.q, 1), tolerance=float("inf")
+            tree, MLIQ(item.q, 1), tolerance=float("inf")
         )
         pages += stats.pages_accessed
     return pages / len(workload)

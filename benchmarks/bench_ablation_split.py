@@ -11,10 +11,10 @@ lives in bench_ablation_bulkload.py.
 import numpy as np
 import pytest
 
-from repro.core.queries import MLIQuery
 from repro.data.synthetic import database_from_arrays
 from repro.data.uncertainty import per_object_quality_sigmas
 from repro.data.workload import identification_workload
+from repro.engine.spec import MLIQ
 from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.split import volume_split_quality
 from repro.gausstree.tree import GaussTree
@@ -45,7 +45,7 @@ def _build_and_measure(db, workload, split_quality=None):
     pages = 0
     for item in workload:
         _, stats = gausstree_mliq(
-            tree, MLIQuery(item.q, 1), tolerance=float("inf")
+            tree, MLIQ(item.q, 1), tolerance=float("inf")
         )
         pages += stats.pages_accessed
     return pages

@@ -10,9 +10,9 @@ import pytest
 
 from repro.core.joint import log_joint_density_batch
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.data.synthetic import uniform_pfv_dataset
 from repro.data.workload import identification_workload
+from repro.engine.spec import MLIQ, TIQ
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import log_hull_upper, node_log_bounds_batch
 from repro.gausstree.tree import GaussTree
@@ -77,10 +77,10 @@ def test_bulk_load(benchmark, db):
 def test_mliq_query(benchmark, tree, query):
     from repro.gausstree.mliq import gausstree_mliq
 
-    benchmark(lambda: gausstree_mliq(tree, MLIQuery(query, 1), tolerance=0.01))
+    benchmark(lambda: gausstree_mliq(tree, MLIQ(query, 1), tolerance=0.01))
 
 
 def test_tiq_query(benchmark, tree, query):
     from repro.gausstree.tiq import gausstree_tiq
 
-    benchmark(lambda: gausstree_tiq(tree, ThresholdQuery(query, 0.5)))
+    benchmark(lambda: gausstree_tiq(tree, TIQ(query, 0.5)))

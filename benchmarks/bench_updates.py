@@ -38,8 +38,8 @@ sys.path.insert(
 import numpy as np  # noqa: E402
 
 from repro.core.pfv import PFV  # noqa: E402
-from repro.core.queries import MLIQuery  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
+from repro.engine.spec import MLIQ  # noqa: E402
 from repro.gausstree.bulkload import bulk_load  # noqa: E402
 from repro.gausstree.mliq import gausstree_mliq  # noqa: E402
 from repro.gausstree.tree import GaussTree  # noqa: E402
@@ -97,7 +97,7 @@ def run(n: int, d: int, n_inserts: int, seed: int) -> dict:
     recovered, recovery_open_s = _timed(lambda: GaussTree.open(nofsync_path))
     expected = n + n_inserts
     assert len(recovered) == expected, (len(recovered), expected)
-    query = MLIQuery(
+    query = MLIQ(
         PFV(rng.uniform(0, 1, d), rng.uniform(0.05, 0.4, d)), 5
     )
     disk_matches, _ = gausstree_mliq(recovered, query)

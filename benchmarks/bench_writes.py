@@ -51,8 +51,8 @@ sys.path.insert(
 import numpy as np  # noqa: E402
 
 from repro.core.pfv import PFV  # noqa: E402
-from repro.core.queries import MLIQuery  # noqa: E402
 from repro.data.synthetic import uniform_pfv_dataset  # noqa: E402
+from repro.engine.spec import MLIQ  # noqa: E402
 from repro.gausstree.bulkload import bulk_load  # noqa: E402
 from repro.gausstree.mliq import gausstree_mliq  # noqa: E402
 from repro.gausstree.tree import GaussTree  # noqa: E402
@@ -139,7 +139,6 @@ def _run_sharded_router(db, vectors, d, rng, tmp_dir):
     session over a 3-shard manifest; returns throughput + sanity info."""
     import repro
     from repro.cluster import build_shards
-    from repro.engine import MLIQ
 
     manifest = build_shards(db, 3, os.path.join(tmp_dir, "router"))
     q = PFV(rng.uniform(0, 1, d), rng.uniform(0.05, 0.4, d))
@@ -181,7 +180,7 @@ def run(n: int, d: int, n_inserts: int, seed: int) -> dict:
     results: dict[str, dict] = {}
     for mode in modes:
         vectors = _fresh_vectors(rng, n_inserts, d, mode[0])
-        query = MLIQuery(
+        query = MLIQ(
             PFV(rng.uniform(0, 1, d), rng.uniform(0.05, 0.4, d)), 5
         )
         # Every mode inserts its own fresh vectors into its own copy;

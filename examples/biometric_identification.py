@@ -14,7 +14,7 @@ Run:  python examples/biometric_identification.py
 
 import numpy as np
 
-from repro import MLIQ, MLIQuery, PFV, scan_mliq, session_for
+from repro import MLIQ, PFV, scan_mliq, session_for
 from repro.baselines.nn import knn_euclidean
 from repro.data.synthetic import database_from_arrays
 from repro.data.uncertainty import mixed_precision_sigmas
@@ -53,7 +53,7 @@ for probe in probes:
     nn_key = knn_euclidean(gallery, probe.q.mu, 1)[0][0]
     nn_hits += nn_key == probe.true_key
 
-    scan_best = scan_mliq(gallery, MLIQuery(probe.q, 1))[0]
+    scan_best = scan_mliq(gallery, MLIQ(probe.q, 1))[0]
     scan_hits += scan_best.key == probe.true_key
 
     # mliq_tolerance: posterior accuracy of Section 5.2.2 — 1% is plenty
@@ -71,7 +71,7 @@ print(f"  MLIQ (Gauss-tree)     : {tree_hits / N_PROBES:6.1%}")
 print(f"\npage accesses per probe : {tree_pages / N_PROBES:7.1f} (tree)"
       f"  vs {file_pages} (sequential file)")
 
-best = scan_mliq(gallery, MLIQuery(probes[0].q, 3))
+best = scan_mliq(gallery, MLIQ(probes[0].q, 3))
 print("\nexample probe, top-3 posteriors:")
 for m in best:
     marker = "  <-- true identity" if m.key == probes[0].true_key else ""

@@ -11,7 +11,7 @@ Run:  python examples/effectiveness_study.py
 
 import numpy as np
 
-from repro import MLIQuery, scan_mliq
+from repro import MLIQ, scan_mliq
 from repro.baselines.nn import knn_euclidean, knn_weighted_euclidean
 from repro.data.synthetic import database_from_arrays
 from repro.data.uncertainty import mixed_precision_sigmas
@@ -37,7 +37,7 @@ for item in workload:
     weighted += (
         knn_weighted_euclidean(db, q.mu, w, 1)[0][0] == item.true_key
     )
-    mliq += scan_mliq(db, MLIQuery(q, 1))[0].key == item.true_key
+    mliq += scan_mliq(db, MLIQ(q, 1))[0].key == item.true_key
 
 print(f"identification rate over {QUERIES} queries (n={N}, d={D}):")
 print(f"  Euclidean NN                  : {nn / QUERIES:6.1%}")

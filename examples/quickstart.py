@@ -17,7 +17,6 @@ from repro import (
     TIQ,
     GaussTree,
     PFVDatabase,
-    ThresholdQuery,
     scan_tiq,
     session_for,
 )
@@ -57,6 +56,6 @@ tiq_matches = session.execute(TIQ(query, tau=0.12)).matches
 print("TIQ(P >= 12%):", [m.key.split(":")[0] for m in tiq_matches])
 
 # The sequential scan (the paper's reference algorithm) agrees exactly.
-scan_keys = [m.key.split(":")[0] for m in scan_tiq(db, ThresholdQuery(query, 0.12))]
+scan_keys = [m.key.split(":")[0] for m in scan_tiq(db, TIQ(query, 0.12))]
 assert [m.key.split(":")[0] for m in tiq_matches] == scan_keys
 print("Sequential scan returns the same answer set - the index is exact.")

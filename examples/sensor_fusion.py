@@ -14,7 +14,7 @@ Run:  python examples/sensor_fusion.py
 
 import numpy as np
 
-from repro import PFV, TIQ, PFVDatabase, ThresholdQuery, scan_tiq, session_for
+from repro import PFV, TIQ, PFVDatabase, scan_tiq, session_for
 from repro.data.workload import identification_workload
 from repro.gausstree.tree import GaussTree
 
@@ -56,7 +56,7 @@ for theta in (0.05, 0.2, 0.5, 0.9):
     rs = session.execute(TIQ(probe.q, tau=theta))
     matches, stats = rs.matches, rs.stats
     total = sum(m.probability for m in matches)
-    scan_keys = {m.key for m in scan_tiq(db, ThresholdQuery(probe.q, theta))}
+    scan_keys = {m.key for m in scan_tiq(db, TIQ(probe.q, theta))}
     assert {m.key for m in matches} == scan_keys, "index must stay exact"
     listing = ", ".join(
         f"{m.key} ({m.probability:.0%})" for m in matches[:4]

@@ -11,20 +11,22 @@ Model (Sections 3-4):
     sequential-scan reference algorithms.
 
 Index (Section 5):
-    :class:`repro.gausstree.GaussTree` with ``insert`` / ``delete`` /
-    ``mliq`` / ``tiq``, the batch APIs ``mliq_many`` / ``tiq_many``,
+    :class:`repro.gausstree.GaussTree` with ``insert`` / ``delete``,
     disk persistence via ``save`` / ``open`` (single-file index, lazy
-    page-decoded nodes) and :func:`repro.gausstree.bulk_load`.
+    page-decoded nodes) and :func:`repro.gausstree.bulk_load`; the
+    query algorithms are :func:`repro.gausstree.gausstree_mliq` /
+    :func:`repro.gausstree.gausstree_tiq` and their ``_many`` batch
+    forms, reached through the engine.
 
-Unified query engine (the recommended surface):
+Unified query engine (the one query surface):
     :func:`repro.connect` — open a :class:`repro.Session` over a
     database, a list of pfv, or a saved index file, through any
     registered backend (``tree``, ``disk``, ``seqscan``, ``xtree``);
     execute the composable specs :class:`repro.MLIQ`,
     :class:`repro.TIQ`, :class:`repro.RankQuery`,
     :class:`repro.ConsensusTopK` and :class:`repro.ExpectedRank`;
-    ``explain()`` describes the plan. See README "Query API" for the migration table
-    from the per-method entry points (now deprecation shims).
+    ``explain()`` describes the plan. README "Query API" lists the
+    per-method entry points that 2.0 removed and their replacements.
 
 Sharded serving (scale-out):
     :mod:`repro.cluster` — ``repro shard-build`` partitions a database
@@ -43,19 +45,17 @@ Data / evaluation:
     :mod:`repro.data` (datasets and ground-truthed workloads) and
     :mod:`repro.eval` (the figure-by-figure experiment harness).
 
-See ``examples/quickstart.py`` for a five-minute tour and DESIGN.md for
-the full system inventory.
+See ``examples/quickstart.py`` for a five-minute tour and
+``docs/architecture.md`` for the full system inventory.
 """
 
 from repro.core import (
     PFV,
     Match,
-    MLIQuery,
     PFVDatabase,
     ProbabilisticFeatureVector,
     QueryStats,
     SigmaRule,
-    ThresholdQuery,
     scan_mliq,
     scan_tiq,
 )
@@ -87,8 +87,6 @@ __all__ = [
     "PFVDatabase",
     "SigmaRule",
     "Match",
-    "MLIQuery",
-    "ThresholdQuery",
     "QueryStats",
     "scan_mliq",
     "scan_tiq",

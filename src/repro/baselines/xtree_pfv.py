@@ -26,7 +26,7 @@ paper's Figure 7.
 from __future__ import annotations
 
 import time
-import warnings
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -36,19 +36,13 @@ from repro.baselines.xtree import XTree
 from repro.core.bayes import posteriors_from_log_densities
 from repro.core.database import PFVDatabase
 from repro.core.joint import log_joint_density_batch
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import Match, QueryStats
 from repro.storage.pagestore import PageStore
 
+if TYPE_CHECKING:
+    from repro.engine.spec import MLIQ, TIQ
+
 __all__ = ["XTreePFVIndex"]
-
-
-def _deprecated(old: str, new: str) -> None:
-    warnings.warn(
-        f"XTreePFVIndex.{old} is deprecated; use "
-        f"repro.connect(db, backend='xtree').{new} instead",
-        DeprecationWarning,
-        stacklevel=3,
-    )
 
 
 class XTreePFVIndex:
@@ -132,19 +126,7 @@ class XTreePFVIndex:
         log_dens = log_joint_density_batch(mu, sigma, q, self.db.sigma_rule)
         return log_dens, posteriors_from_log_densities(log_dens)
 
-    def mliq(self, query: MLIQuery) -> tuple[list[Match], QueryStats]:
-        """Deprecated shim; connect with ``repro.connect(db,
-        backend="xtree")`` and execute ``MLIQ`` specs instead."""
-        _deprecated("mliq", "execute(MLIQ(q, k))")
-        return self._mliq_impl(query)
-
-    def tiq(self, query: ThresholdQuery) -> tuple[list[Match], QueryStats]:
-        """Deprecated shim; connect with ``repro.connect(db,
-        backend="xtree")`` and execute ``TIQ`` specs instead."""
-        _deprecated("tiq", "execute(TIQ(q, tau))")
-        return self._tiq_impl(query)
-
-    def _mliq_impl(self, query: MLIQuery) -> tuple[list[Match], QueryStats]:
+    def _mliq_impl(self, query: MLIQ) -> tuple[list[Match], QueryStats]:
         """Approximate k-MLIQ: intersect, refine, rank.
 
         Returns fewer than ``k`` matches (possibly none) when the filter
@@ -165,7 +147,7 @@ class XTreePFVIndex:
         stats = self._stats(len(rows), started)
         return matches, stats
 
-    def _tiq_impl(self, query: ThresholdQuery) -> tuple[list[Match], QueryStats]:
+    def _tiq_impl(self, query: TIQ) -> tuple[list[Match], QueryStats]:
         """Approximate TIQ over the candidate set."""
         store = self.store
         store.begin_query()
@@ -176,7 +158,7 @@ class XTreePFVIndex:
             log_dens, post = self._refine(rows, query.q)
             order = np.lexsort((np.arange(len(rows)), -log_dens))
             for i in order:
-                if post[int(i)] >= query.p_theta:
+                if post[int(i)] >= query.tau:
                     matches.append(
                         Match(
                             self.db[rows[int(i)]],

@@ -99,7 +99,7 @@ def _cmd_figure7(args: argparse.Namespace) -> None:
 
 
 def _cmd_example(_args: argparse.Namespace) -> None:
-    from repro import MLIQuery, PFV, PFVDatabase, scan_mliq
+    from repro import MLIQ, PFV, PFVDatabase, scan_mliq
 
     db = PFVDatabase(
         [
@@ -110,7 +110,7 @@ def _cmd_example(_args: argparse.Namespace) -> None:
     )
     query = PFV([3.59, 2.46], [0.23, 1.58])
     print("Figure 1 worked example - posteriors P(v|q):")
-    for m in scan_mliq(db, MLIQuery(query, 3)):
+    for m in scan_mliq(db, MLIQ(query, 3)):
         print(f"  {m.key}: {m.probability:.1%}")
     print("(paper: O3 77%, O2 13%, O1 10%; Euclidean NN would pick O1)")
 

@@ -92,7 +92,7 @@ from repro.obs import trace as _obs_trace
 from repro.core.database import PFVDatabase
 from repro.core.gaussian import logsumexp
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats
+from repro.core.queries import Match, QueryStats
 from repro.engine.backends import (
     BackendAdapter,
     PlanEstimate,
@@ -559,18 +559,18 @@ class ShardedBackend(BackendAdapter):
     # -- query execution -----------------------------------------------------
 
     def _mliq_batch(
-        self, queries: list[MLIQuery]
+        self, specs: list[MLIQ]
     ) -> tuple[list[list[Match]], QueryStats]:
-        payload = ("mliq", [(query.q, query.k) for query in queries])
+        payload = ("mliq", [(s.q, s.k) for s in specs])
         shard_replies = self._fan_out(payload)
         total = QueryStats()
         for _, reply in shard_replies:
             total.merge(reply.stats)
         results: list[list[Match]] = []
         n = self.count()
-        for j, query in enumerate(queries):
+        for j, spec in enumerate(specs):
             merged = self._merge_candidates(shard_replies, j, n)
-            results.append(merged[: query.k])
+            results.append(merged[: spec.k])
         return results, total
 
     def _tiq_batch(

@@ -35,6 +35,7 @@ endpoint/error contract is documented in ``docs/wire-protocol.md``.
 from __future__ import annotations
 
 import json
+import math
 from typing import IO, Iterable
 
 from repro.core.pfv import PFV
@@ -163,6 +164,17 @@ def spec_to_json(spec: Spec) -> dict:
     return base
 
 
+def _k_from(data: dict) -> int:
+    """The ``"k"`` field: a non-bool int or a finite integral float
+    (JSON has one number type); anything else is a :class:`WireError`."""
+    k = data.get("k", 1)
+    if isinstance(k, int) and not isinstance(k, bool):
+        return k
+    if isinstance(k, float) and math.isfinite(k) and k.is_integer():
+        return int(k)
+    raise WireError(f'"k" must be an integer, got {k!r}')
+
+
 def spec_from_json(data: object) -> Spec:
     """Parse one wire dict back into an engine spec (validating)."""
     if not isinstance(data, dict):
@@ -181,7 +193,7 @@ def spec_from_json(data: object) -> Spec:
         raise WireError(f"bad query pfv: {exc}") from exc
     try:
         if kind == "mliq":
-            return MLIQ(q, int(data.get("k", 1)))
+            return MLIQ(q, _k_from(data))
         if kind == "tiq":
             return TIQ(
                 q, float(data.get("tau", 0.5)), float(data.get("eps", 0.0))
@@ -190,13 +202,13 @@ def spec_from_json(data: object) -> Spec:
             min_mass = data.get("min_mass")
             return RankQuery(
                 q,
-                int(data.get("k", 1)),
+                _k_from(data),
                 min_mass=None if min_mass is None else float(min_mass),
             )
         if kind == "consensus":
-            return ConsensusTopK(q, int(data.get("k", 1)))
+            return ConsensusTopK(q, _k_from(data))
         if kind == "erank":
-            return ExpectedRank(q, int(data.get("k", 1)))
+            return ExpectedRank(q, _k_from(data))
     except (TypeError, ValueError) as exc:
         raise WireError(f"bad {kind} parameters: {exc}") from exc
     raise WireError(

@@ -8,14 +8,14 @@ Submodules
 ``joint``     — Lemma 1 joint densities and the sigma combination rules.
 ``database``  — the in-memory pfv collection all access methods share.
 ``bayes``     — posterior identification probabilities.
-``queries``   — TIQ / k-MLIQ specifications and result records.
+``queries``   — query result records and work counters.
 ``scan``      — the paper's exact sequential-scan algorithms (Section 4).
 """
 
 from repro.core.database import PFVDatabase
 from repro.core.joint import SigmaRule, combine_sigma, log_joint_density
 from repro.core.pfv import PFV, ProbabilisticFeatureVector
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import Match, QueryStats
 from repro.core.scan import scan_mliq, scan_tiq
 
 __all__ = [
@@ -26,8 +26,6 @@ __all__ = [
     "combine_sigma",
     "log_joint_density",
     "Match",
-    "MLIQuery",
-    "ThresholdQuery",
     "QueryStats",
     "scan_mliq",
     "scan_tiq",

@@ -1,9 +1,9 @@
-"""Query specifications and result types (Definitions 2 and 3 of the paper).
+"""Result types shared by every access method.
 
 Two identification query types operate on a database of probabilistic
-feature vectors:
+feature vectors; their specs live in :mod:`repro.engine.spec`:
 
-* **Threshold identification query** — ``TIQ(q, p_theta)`` returns every
+* **Threshold identification query** — ``TIQ(q, tau)`` returns every
   database object whose posterior ``P(v|q)`` reaches the threshold
   (Definition 2; "all persons that could be shown on this image with
   probability at least 10%").
@@ -12,9 +12,10 @@ feature vectors:
   persons on this image").
 
 Every access method in this repository (sequential scan, Gauss-tree,
-X-tree filter+refine) answers these same specs and returns the same
-:class:`Match` records, so results are directly comparable — the test
-suite asserts scan/tree equivalence on randomized databases.
+X-tree filter+refine) answers these same specs and returns the
+:class:`Match` records and :class:`QueryStats` counters defined here,
+so results are directly comparable — the test suite asserts scan/tree
+equivalence on randomized databases.
 """
 
 from __future__ import annotations
@@ -24,33 +25,7 @@ from typing import Hashable
 
 from repro.core.pfv import PFV
 
-__all__ = ["MLIQuery", "ThresholdQuery", "Match", "QueryStats"]
-
-
-@dataclasses.dataclass(frozen=True)
-class MLIQuery:
-    """A k-most-likely identification query (Definition 3)."""
-
-    q: PFV
-    k: int = 1
-
-    def __post_init__(self) -> None:
-        if self.k < 1:
-            raise ValueError(f"k must be at least 1, got {self.k}")
-
-
-@dataclasses.dataclass(frozen=True)
-class ThresholdQuery:
-    """A threshold identification query (Definition 2)."""
-
-    q: PFV
-    p_theta: float = 0.5
-
-    def __post_init__(self) -> None:
-        if not 0.0 <= self.p_theta <= 1.0:
-            raise ValueError(
-                f"p_theta must be a probability in [0, 1], got {self.p_theta}"
-            )
+__all__ = ["Match", "QueryStats"]
 
 
 @dataclasses.dataclass(frozen=True)

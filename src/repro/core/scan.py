@@ -6,7 +6,7 @@ These are the paper's reference algorithms over an unordered file of pfv:
   far; posteriors are normalised by the full denominator afterwards.
 * **TIQ** — conceptually two scans: one to accumulate the Bayes denominator
   ``sum_w p(q|w)``, one to report every object with
-  ``p(q|v) / denominator >= p_theta``. Our vectorised implementation
+  ``p(q|v) / denominator >= tau``. Our vectorised implementation
   materialises all log densities once (that *is* the first scan) and
   filters in a second pass over the array.
 
@@ -20,13 +20,17 @@ which adds paged-IO accounting on top.
 from __future__ import annotations
 
 import math
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core import gaussian
 from repro.core.bayes import log_densities, posteriors_from_log_densities
 from repro.core.database import PFVDatabase
-from repro.core.queries import Match, MLIQuery, ThresholdQuery
+from repro.core.queries import Match
+
+if TYPE_CHECKING:
+    from repro.engine.spec import MLIQ, TIQ
 
 __all__ = ["scan_mliq", "scan_tiq", "scan_posteriors"]
 
@@ -52,7 +56,7 @@ def scan_posteriors(db: PFVDatabase, q) -> tuple[np.ndarray, np.ndarray]:
     return log_dens, posteriors_from_log_densities(log_dens)
 
 
-def scan_mliq(db: PFVDatabase, query: MLIQuery) -> list[Match]:
+def scan_mliq(db: PFVDatabase, query: MLIQ) -> list[Match]:
     """Answer a k-MLIQ by scanning the whole database.
 
     Returns min(k, n) matches ordered by descending posterior.
@@ -64,17 +68,17 @@ def scan_mliq(db: PFVDatabase, query: MLIQuery) -> list[Match]:
     return _matches_from(db, order, log_dens, post)
 
 
-def scan_tiq(db: PFVDatabase, query: ThresholdQuery) -> list[Match]:
+def scan_tiq(db: PFVDatabase, query: TIQ) -> list[Match]:
     """Answer a TIQ by scanning the whole database.
 
-    Returns all objects with posterior ``>= p_theta``, ordered by
-    descending posterior. With ``p_theta == 0`` this is the full ranked
+    Returns all objects with posterior ``>= tau``, ordered by
+    descending posterior. With ``tau == 0`` this is the full ranked
     database (every posterior is >= 0).
     """
     if len(db) == 0:
         return []
     log_dens, post = scan_posteriors(db, query.q)
-    selected = post >= query.p_theta
+    selected = post >= query.tau
     order = _ranked_order(log_dens)
     order = order[selected[order]]
     return _matches_from(db, order, log_dens, post)

@@ -17,9 +17,9 @@ This package makes that a literal API:
 * new access methods join by implementing the capability-declaring
   :class:`Backend` protocol and calling :func:`register_backend`.
 
-The legacy per-method entry points (``GaussTree.mliq`` and friends)
-remain as thin deprecation shims; see README "Query API" for the
-migration table.
+These specs are the only query algebra: the index and baseline
+algorithms take them directly. README "Query API" maps the per-method
+entry points that 2.0 removed onto them.
 """
 
 from repro.engine.backends import (

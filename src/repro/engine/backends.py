@@ -5,8 +5,7 @@ disk-opened (read-only or writable) Gauss-tree, the paged sequential
 scan and the X-tree filter+refine baseline — registers here behind one
 capability-declaring :class:`Backend` surface. A
 :class:`~repro.engine.session.Session` talks only to this surface; the
-adapters translate to each method's internal entry points (never the
-deprecated public shims, so engine traffic emits no warnings).
+adapters translate to each method's internal entry points.
 
 Capabilities are plain strings so third-party backends can extend the
 vocabulary:
@@ -38,7 +37,7 @@ from typing import Callable, Iterable, Protocol, Sequence, runtime_checkable
 
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import Match, QueryStats
 from repro.engine.spec import MLIQ, TIQ
 
 __all__ = [
@@ -102,6 +101,12 @@ class Backend(Protocol):
         """Answer a batch of TIQ specs: per-spec match lists + stats."""
         ...
 
+    def run_ranked(
+        self, specs: Sequence
+    ) -> tuple[list[list[Match]], QueryStats]:
+        """Answer a batch of ``ConsensusTopK``/``ExpectedRank`` specs."""
+        ...
+
     def count(self) -> int:
         """Number of objects the backend serves."""
         ...
@@ -116,8 +121,8 @@ class BackendAdapter:
 
     Implements the normalised edge-case semantics of
     :mod:`repro.engine.spec` once — ``k == 0`` and empty-backend specs
-    short-circuit to the empty list here, so subclasses only translate
-    well-posed legacy queries via ``_mliq_batch`` / ``_tiq_batch``.
+    short-circuit to the empty list here, so subclasses only answer
+    well-posed specs via ``_mliq_batch`` / ``_tiq_batch``.
     """
 
     name = "abstract"
@@ -134,11 +139,11 @@ class BackendAdapter:
         results: list[list[Match]] = [[] for _ in specs]
         if self.count() == 0:
             return results, QueryStats()
-        live = [(i, spec.lower()) for i, spec in enumerate(specs) if spec.k > 0]
+        live = [i for i, spec in enumerate(specs) if spec.k > 0]
         if not live:
             return results, QueryStats()
-        answered, stats = self._mliq_batch([q for _, q in live])
-        for (i, _), matches in zip(live, answered):
+        answered, stats = self._mliq_batch([specs[i] for i in live])
+        for i, matches in zip(live, answered):
             results[i] = matches
         return results, stats
 
@@ -181,7 +186,7 @@ class BackendAdapter:
     # -- to be provided by subclasses ---------------------------------------
 
     def _mliq_batch(
-        self, queries: list[MLIQuery]
+        self, specs: list[MLIQ]
     ) -> tuple[list[list[Match]], QueryStats]:
         raise NotImplementedError
 
@@ -278,11 +283,11 @@ class GaussTreeBackend(BackendAdapter):
             caps.add("persistent")
         self.capabilities = frozenset(caps)
 
-    def _mliq_batch(self, queries):
+    def _mliq_batch(self, specs):
         from repro.gausstree.batch import gausstree_mliq_many
 
         return gausstree_mliq_many(
-            self.tree, queries, tolerance=self.mliq_tolerance
+            self.tree, specs, tolerance=self.mliq_tolerance
         )
 
     def _tiq_batch(self, specs):
@@ -298,7 +303,7 @@ class GaussTreeBackend(BackendAdapter):
         for eps, indices in groups.items():
             answered, stats = gausstree_tiq_many(
                 self.tree,
-                [specs[i].lower() for i in indices],
+                [specs[i] for i in indices],
                 tolerance=max(self.tiq_tolerance, eps),
                 probability_tolerance=self.probability_tolerance,
             )
@@ -473,11 +478,11 @@ class SeqScanBackend(BackendAdapter):
         self.store = index.store
         self.capabilities = frozenset({"mliq", "tiq", "batch", "exact"})
 
-    def _mliq_batch(self, queries):
-        return self.index._mliq_many_impl(queries)
+    def _mliq_batch(self, specs):
+        return self.index._mliq_many_impl(specs)
 
     def _tiq_batch(self, specs):
-        return self.index._tiq_many_impl([s.lower() for s in specs])
+        return self.index._tiq_many_impl(specs)
 
     def count(self) -> int:
         return len(self.index.db)
@@ -517,21 +522,19 @@ class XTreeBackend(BackendAdapter):
         self.store = index.store
         self.capabilities = frozenset({"mliq", "tiq"})
 
-    def _mliq_batch(self, queries):
+    def _loop(self, call, specs):
         results, total = [], QueryStats()
-        for query in queries:
-            matches, stats = self.index._mliq_impl(query)
+        for spec in specs:
+            matches, stats = call(spec)
             results.append(matches)
             total.merge(stats)
         return results, total
 
+    def _mliq_batch(self, specs):
+        return self._loop(self.index._mliq_impl, specs)
+
     def _tiq_batch(self, specs):
-        results, total = [], QueryStats()
-        for spec in specs:
-            matches, stats = self.index._tiq_impl(spec.lower())
-            results.append(matches)
-            total.merge(stats)
-        return results, total
+        return self._loop(self.index._tiq_impl, specs)
 
     def count(self) -> int:
         return len(self.index.db)
@@ -561,56 +564,6 @@ class XTreeBackend(BackendAdapter):
 
     def database(self) -> PFVDatabase:
         return self.index.db
-
-
-# ---------------------------------------------------------------------------
-# Legacy access-method wrapper (third-party / ad-hoc objects)
-# ---------------------------------------------------------------------------
-
-
-class LegacyMethodBackend(BackendAdapter):
-    """Wraps any object with ``mliq(query)`` / ``tiq(query)`` methods so
-    the evaluation runner can route arbitrary access methods through
-    ``Session.execute``. No ``"batch"`` capability: queries loop."""
-
-    def __init__(self, method, name: str | None = None) -> None:
-        self.method = method
-        self.name = name or type(method).__name__
-        store = getattr(method, "store", None)
-        if store is not None:
-            self.store = store
-        caps = {
-            cap for cap in ("mliq", "tiq") if callable(getattr(method, cap, None))
-        }
-        self.capabilities = frozenset(caps)
-
-    def _loop(self, call, queries):
-        results, total = [], QueryStats()
-        for query in queries:
-            matches, stats = call(query)
-            results.append(matches)
-            total.merge(stats)
-        return results, total
-
-    def _mliq_batch(self, queries):
-        return self._loop(self.method.mliq, queries)
-
-    def _tiq_batch(self, specs):
-        return self._loop(self.method.tiq, [s.lower() for s in specs])
-
-    def count(self) -> int:
-        db = getattr(self.method, "db", None)
-        if db is not None:
-            return len(db)
-        try:
-            return len(self.method)
-        except TypeError:
-            return 1  # unknown size: never short-circuit as empty
-
-    def estimate(self, kind: str, specs: Sequence) -> PlanEstimate:
-        return PlanEstimate(
-            0, 0.0, "opaque legacy access method: no cost model available"
-        )
 
 
 # ---------------------------------------------------------------------------
@@ -658,9 +611,10 @@ def create_backend(
 
 
 def backend_for_index(index, name: str | None = None, **options) -> Backend:
-    """Wrap an already-built index object (tree, scan, X-tree, or any
-    legacy access method) in its engine adapter — the bridge the
-    evaluation runner uses for pre-constructed competitors.
+    """Wrap an already-built index object (tree, scan or X-tree) in its
+    engine adapter — the bridge the evaluation runner uses for
+    pre-constructed competitors. Other objects raise ``TypeError``;
+    :func:`register_backend` is the extension point for new methods.
 
     ``options`` are forwarded to the adapter; only the Gauss-tree
     adapter takes any (``mliq_tolerance``, ``tiq_tolerance``,
@@ -696,7 +650,11 @@ def backend_for_index(index, name: str | None = None, **options) -> Backend:
         if name:
             backend.name = name
         return backend
-    return LegacyMethodBackend(index, name)
+    raise TypeError(
+        f"cannot adapt {type(index).__name__} as a backend (expected "
+        "GaussTree, SequentialScanIndex, XTreePFVIndex or a Backend); "
+        "register new access methods with register_backend"
+    )
 
 
 # -- source coercion ---------------------------------------------------------

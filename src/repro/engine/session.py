@@ -32,7 +32,6 @@ from repro.engine.backends import (
 )
 from repro.engine.planner import Plan, build_plan
 from repro.engine.result import ResultSet
-from repro.engine.semantics import score_ranked
 from repro.engine.spec import Query, Spec, is_write_spec, spec_kind
 from repro.obs import trace as _obs_trace
 
@@ -159,21 +158,7 @@ class Session:
             elif kind == "tiq":
                 answered, stats = self._backend.run_tiq(subset)
             elif kind in ("consensus", "erank"):
-                # Ranked semantics: backends that can do better (the
-                # sharded fan-out piggybacks per-shard sufficient
-                # statistics) expose run_ranked; everything else lowers
-                # to MLIQ and rescores the exact prefix locally.
-                run_ranked = getattr(self._backend, "run_ranked", None)
-                if run_ranked is not None:
-                    answered, stats = run_ranked(subset)
-                else:
-                    answered, stats = self._backend.run_mliq(
-                        [s.lower() for s in subset]
-                    )
-                    answered = [
-                        score_ranked(spec, matches)
-                        for matches, spec in zip(answered, subset)
-                    ]
+                answered, stats = self._backend.run_ranked(subset)
             else:  # rank: lower to mliq, then apply the mass cut
                 answered, stats = self._backend.run_mliq(
                     [s.lower() for s in subset]
@@ -390,10 +375,10 @@ def connect(
 
 def session_for(index, name: str | None = None, **options) -> Session:
     """Adopt an already-built index object (GaussTree,
-    SequentialScanIndex, XTreePFVIndex, a registered Backend, or any
-    legacy object with ``mliq``/``tiq`` methods) as a session.
-    ``options`` reach the adapter (Gauss-tree: ``mliq_tolerance``,
-    ``tiq_tolerance``, ``probability_tolerance``)."""
+    SequentialScanIndex, XTreePFVIndex, a Backend or a Session) as a
+    session; anything else raises ``TypeError``. ``options`` reach the
+    adapter (Gauss-tree: ``mliq_tolerance``, ``tiq_tolerance``,
+    ``probability_tolerance``)."""
     if isinstance(index, Session):
         if options:
             raise TypeError("an existing Session accepts no adapter options")

@@ -61,12 +61,6 @@ situation                     result
 empty database                the empty match list (MLIQ, TIQ and Rank)
 ``TIQ.tau == 0``              the full ranked database
 ============================  ============================================
-
-The legacy specs (:class:`~repro.core.queries.MLIQuery`,
-:class:`~repro.core.queries.ThresholdQuery`) predate this table: they
-reject ``k == 0`` at construction and some backends used to reject
-empty databases. ``lower()`` converts an engine spec into its legacy
-counterpart for backends implemented against the old surface.
 """
 
 from __future__ import annotations
@@ -75,7 +69,6 @@ import dataclasses
 from typing import Union
 
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
 
 __all__ = [
     "MLIQ",
@@ -118,12 +111,6 @@ class MLIQ:
         """Dispatch kind of this spec (``"mliq"``)."""
         return "mliq"
 
-    def lower(self) -> MLIQuery:
-        """The legacy spec; callers must special-case ``k == 0``."""
-        if self.k == 0:
-            raise ValueError("k == 0 has no legacy MLIQuery equivalent")
-        return MLIQuery(self.q, self.k)
-
 
 @dataclasses.dataclass(frozen=True)
 class TIQ:
@@ -160,10 +147,6 @@ class TIQ:
     def kind(self) -> str:
         """Dispatch kind of this spec (``"tiq"``)."""
         return "tiq"
-
-    def lower(self) -> ThresholdQuery:
-        """The legacy spec this executes as on pre-engine backends."""
-        return ThresholdQuery(self.q, self.tau)
 
 
 @dataclasses.dataclass(frozen=True)
@@ -333,8 +316,7 @@ def query_kind(query: Query) -> str:
     if kind not in _READ_KINDS:
         raise TypeError(
             f"not an engine query spec: {query!r} (expected MLIQ, TIQ, "
-            "RankQuery, ConsensusTopK or ExpectedRank; legacy "
-            "MLIQuery/ThresholdQuery must be wrapped)"
+            "RankQuery, ConsensusTopK or ExpectedRank)"
         )
     return kind
 

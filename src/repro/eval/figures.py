@@ -25,11 +25,10 @@ from typing import Sequence
 
 from repro.baselines.nn import knn_euclidean
 from repro.core.database import PFVDatabase
-from repro.core.queries import MLIQuery
 from repro.data.histograms import color_histogram_dataset
 from repro.data.synthetic import uniform_pfv_dataset
 from repro.data.workload import IdentificationQuery, identification_workload
-from repro.engine import connect
+from repro.engine import MLIQ, connect
 from repro.eval.metrics import PrecisionRecall, precision_recall
 from repro.eval.runner import BatchResult, run_mliq_batch, run_tiq_batch
 from repro.storage.buffer import BufferManager
@@ -124,7 +123,7 @@ def figure6(
         for item in workload
     ]
     mliq_full = [
-        [m.key for m in scan_mliq(db, MLIQuery(item.q, max_multiple))]
+        [m.key for m in scan_mliq(db, MLIQ(item.q, max_multiple))]
         for item in workload
     ]
     for multiple in multiples:

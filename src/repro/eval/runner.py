@@ -9,38 +9,22 @@ batch entry points are deliberately *not* used here) and the per-query
 the buffer before each batch as the paper's experiments do.
 
 ``run_mliq_batch`` / ``run_tiq_batch`` accept a ready
-:class:`~repro.engine.Session` or any legacy access-method object
-(GaussTree, SequentialScanIndex, XTreePFVIndex, or anything with
-``mliq``/``tiq`` methods), which is adopted via
+:class:`~repro.engine.Session` or an index object (GaussTree,
+SequentialScanIndex, XTreePFVIndex, or a Backend), which is adopted via
 :func:`repro.engine.session_for`.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Hashable, Protocol, Sequence
+from typing import Hashable, Sequence
 
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import QueryStats
 from repro.data.workload import IdentificationQuery
 from repro.engine import MLIQ, TIQ, Session, session_for
 from repro.eval.metrics import PrecisionRecall, precision_recall
 
-__all__ = ["AccessMethod", "BatchResult", "run_mliq_batch", "run_tiq_batch"]
-
-
-class AccessMethod(Protocol):
-    """Deprecated 1.x typing alias: the pre-engine per-method protocol.
-
-    Kept only so existing annotations keep importing (the same shim
-    policy as the ``mliq``/``tiq`` entry points; removal in 2.0).
-    Objects of this shape are adopted by the runner — and by
-    :func:`repro.engine.session_for` — automatically; new backends
-    should implement :class:`repro.engine.Backend` instead.
-    """
-
-    def mliq(self, query: MLIQuery) -> tuple[list[Match], QueryStats]: ...
-
-    def tiq(self, query: ThresholdQuery) -> tuple[list[Match], QueryStats]: ...
+__all__ = ["BatchResult", "run_mliq_batch", "run_tiq_batch"]
 
 
 @dataclasses.dataclass

@@ -33,15 +33,18 @@ one-at-a-time API — the tests assert match-for-match equality.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import Match, QueryStats
 from repro.core.joint import log_joint_density_multi
 from repro.gausstree.hull import node_log_bounds_multi
 from repro.gausstree.node import InnerNode, LeafNode
 from repro.gausstree.search import _CAP, _UNDERFLOW, SearchState
+
+if TYPE_CHECKING:
+    from repro.engine.spec import MLIQ, TIQ
 
 __all__ = ["BatchRefiner", "gausstree_mliq_many", "gausstree_tiq_many"]
 
@@ -140,13 +143,14 @@ class BatchRefiner:
 
 
 def gausstree_mliq_many(
-    tree, queries: Sequence[MLIQuery], tolerance: float = 1e-9
+    tree, queries: Sequence[MLIQ], tolerance: float = 1e-9
 ) -> tuple[list[list[Match]], QueryStats]:
     """Answer many k-MLIQs in one buffer-warm pass over the tree.
 
     Returns ``(per-query match lists, aggregate stats)``. Results are
-    exactly what ``tree.mliq`` returns query by query; only the wall
-    time changes (shared page cache, shared vectorized refinement).
+    exactly what :func:`~repro.gausstree.mliq.gausstree_mliq` returns
+    query by query; only the wall time changes (shared page cache,
+    shared vectorized refinement).
     """
     from repro.gausstree.mliq import gausstree_mliq
 
@@ -171,14 +175,15 @@ def gausstree_mliq_many(
 
 def gausstree_tiq_many(
     tree,
-    queries: Sequence[ThresholdQuery],
+    queries: Sequence[TIQ],
     tolerance: float = 0.0,
     probability_tolerance: float | None = None,
 ) -> tuple[list[list[Match]], QueryStats]:
     """Answer many TIQs in one buffer-warm pass over the tree.
 
     Returns ``(per-query match lists, aggregate stats)``; per-query
-    semantics are identical to ``tree.tiq``.
+    semantics are identical to
+    :func:`~repro.gausstree.tiq.gausstree_tiq`.
     """
     from repro.gausstree.tiq import gausstree_tiq
 

@@ -22,19 +22,23 @@ import heapq
 import itertools
 import math
 import time
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats
+from repro.core.queries import Match, QueryStats
 from repro.gausstree.search import SearchState
+
+if TYPE_CHECKING:
+    from repro.engine.spec import MLIQ
 
 __all__ = ["gausstree_mliq"]
 
 
 def gausstree_mliq(
     tree,
-    query: MLIQuery,
+    query: MLIQ,
     tolerance: float = 1e-9,
     state: SearchState | None = None,
 ) -> tuple[list[Match], QueryStats]:
@@ -45,7 +49,7 @@ def gausstree_mliq(
     tree:
         A :class:`~repro.gausstree.tree.GaussTree`.
     query:
-        The k-MLIQ specification.
+        The k-MLIQ specification; ``k == 0`` yields the empty list.
     tolerance:
         Maximum acceptable width of any reported posterior's interval —
         the paper's "user's specification of exactness" (Section 5.2.2).
@@ -61,6 +65,8 @@ def gausstree_mliq(
     ``(matches, stats)`` with matches ordered by descending posterior.
     Ranking is exact; posteriors are exact within ``tolerance``.
     """
+    if query.k == 0:
+        return [], QueryStats()
     store = tree.store
     store.begin_query()
     started = time.perf_counter()

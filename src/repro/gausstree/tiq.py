@@ -23,17 +23,21 @@ import heapq
 import itertools
 import math
 import time
+from typing import TYPE_CHECKING
 
 from repro.core.pfv import PFV
-from repro.core.queries import Match, QueryStats, ThresholdQuery
+from repro.core.queries import Match, QueryStats
 from repro.gausstree.search import SearchState
+
+if TYPE_CHECKING:
+    from repro.engine.spec import TIQ
 
 __all__ = ["gausstree_tiq"]
 
 
 def gausstree_tiq(
     tree,
-    query: ThresholdQuery,
+    query: TIQ,
     tolerance: float = 0.0,
     probability_tolerance: float | None = None,
     state: SearchState | None = None,
@@ -60,7 +64,7 @@ def gausstree_tiq(
     started = time.perf_counter()
     if state is None:
         state = SearchState(tree, query.q)
-    p_theta = query.p_theta
+    tau = query.tau
 
     # Min-heap by log density: rejections always happen at the low end
     # because the denominator lower bound grows monotonically. Items are
@@ -84,13 +88,13 @@ def gausstree_tiq(
         denom_high = state.denominator_high
         # Drop candidates whose best possible posterior is already below
         # the threshold (Figure 5's "delete unnecessary candidates").
-        while candidates and _upper(state, candidates[0][0], denom_low) < p_theta:
+        while candidates and _upper(state, candidates[0][0], denom_low) < tau:
             heapq.heappop(candidates)
         undecided = _any_undecided(
-            state, undecided_heap, denom_low, denom_high, p_theta, tolerance
+            state, undecided_heap, denom_low, denom_high, tau, tolerance
         )
         top_can_qualify = (
-            _upper(state, state.top_log_upper, denom_low) >= p_theta
+            _upper(state, state.top_log_upper, denom_low) >= tau
         )
         needs_probability = (
             probability_tolerance is not None
@@ -123,7 +127,7 @@ def gausstree_tiq(
                 if float(ld) > max_candidate_log:
                     max_candidate_log = float(ld)
 
-    matches = _classify(state, candidates, p_theta, tolerance)
+    matches = _classify(state, candidates, tau, tolerance)
     cost = store.cost_model
     vectorized = state.objects_refined_vectorized
     stats = QueryStats(
@@ -165,13 +169,13 @@ def _any_undecided(
     undecided_heap: list[float],
     denom_low: float,
     denom_high: float,
-    p_theta: float,
+    tau: float,
     tolerance: float,
 ) -> bool:
     """Does any candidate still straddle the threshold undecidedly?
 
     A candidate is decided once its posterior interval lies entirely on
-    one side of ``p_theta`` (accept/reject) or, with a positive
+    one side of ``tau`` (accept/reject) or, with a positive
     ``tolerance``, once the interval is narrower than ``tolerance``
     (classified by midpoint). Because the posterior bounds and the
     interval width ``w * (1/denom_low - 1/denom_high)`` are all monotone
@@ -190,11 +194,11 @@ def _any_undecided(
     """
     while undecided_heap:
         top = -undecided_heap[0]  # largest not-yet-accepted candidate
-        if _lower(state, top, denom_high) >= p_theta:
+        if _lower(state, top, denom_high) >= tau:
             heapq.heappop(undecided_heap)  # decided-accept, final
             continue
         hi = _upper(state, top, denom_low)
-        if hi < p_theta:
+        if hi < tau:
             return False  # it (and everything below) is decided-reject
         if tolerance > 0.0:
             width = hi - _lower(state, top, denom_high)
@@ -214,7 +218,7 @@ def _vector_of(item: tuple) -> PFV:
 def _classify(
     state: SearchState,
     candidates: list[tuple],
-    p_theta: float,
+    tau: float,
     tolerance: float,
 ) -> list[Match]:
     denom_low = state.denominator_low
@@ -230,14 +234,14 @@ def _classify(
             mid = min(1.0, state.scaled_density(log_density) / denom_mid)
         else:
             lo = hi = mid = 1.0 / n  # all densities underflowed: uniform
-        if lo >= p_theta:
+        if lo >= tau:
             accepted = True
-        elif hi < p_theta:
+        elif hi < tau:
             accepted = False
         else:
             # Interval straddles the threshold; only reachable when a
             # positive tolerance allowed the traversal to stop early.
-            accepted = tolerance > 0.0 and mid >= p_theta
+            accepted = tolerance > 0.0 and mid >= tau
         if accepted:
             matches.append(Match(_vector_of(item), log_density, mid))
     matches.sort(key=lambda m: -m.probability)

@@ -23,7 +23,8 @@ for library completeness) uses the classic R-tree condense: underfull nodes
 are dissolved and their entries reinserted.
 
 Query processing lives in :mod:`repro.gausstree.mliq` and
-:mod:`repro.gausstree.tiq`; :class:`GaussTree` exposes them as methods.
+:mod:`repro.gausstree.tiq`; sessions reach them through the engine's
+tree backend.
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from typing import Callable, Iterable, Iterator, Optional
 
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
 from repro.gausstree.bounds import ParameterRect
 from repro.gausstree.integral import log_split_quality
 from repro.gausstree.node import InnerNode, LeafNode, Node
@@ -582,89 +582,6 @@ class GaussTree:
                 if self._reader_lock is not None:
                     self._reader_lock.release()
                     self._reader_lock = None
-
-    # -- queries ------------------------------------------------------------------
-
-    @staticmethod
-    def _warn_deprecated(old: str, new: str) -> None:
-        import warnings
-
-        warnings.warn(
-            f"GaussTree.{old} is deprecated; use "
-            f"repro.connect(...).{new} through the session API instead",
-            DeprecationWarning,
-            stacklevel=3,
-        )
-
-    def mliq(
-        self, query: MLIQuery, tolerance: float = 1e-9
-    ) -> tuple[list[Match], QueryStats]:
-        """k-most-likely identification query (Sections 5.2.1-5.2.2).
-
-        Deprecated entry point: connect the tree through
-        ``repro.connect`` (or ``repro.engine.session_for(tree)``) and
-        ``execute(MLIQ(q, k))`` instead.
-        """
-        from repro.gausstree.mliq import gausstree_mliq
-
-        self._warn_deprecated("mliq", "execute(MLIQ(q, k))")
-        return gausstree_mliq(self, query, tolerance=tolerance)
-
-    def tiq(
-        self,
-        query: ThresholdQuery,
-        tolerance: float = 0.0,
-        probability_tolerance: float | None = None,
-    ) -> tuple[list[Match], QueryStats]:
-        """Threshold identification query (Section 5.2.3).
-
-        Deprecated entry point: use the session API
-        (``execute(TIQ(q, tau))``) instead.
-        """
-        from repro.gausstree.tiq import gausstree_tiq
-
-        self._warn_deprecated("tiq", "execute(TIQ(q, tau))")
-        return gausstree_tiq(
-            self,
-            query,
-            tolerance=tolerance,
-            probability_tolerance=probability_tolerance,
-        )
-
-    def mliq_many(
-        self, queries: Iterable[MLIQuery], tolerance: float = 1e-9
-    ) -> tuple[list[list[Match]], QueryStats]:
-        """Answer a batch of k-MLIQs in one buffer-warm pass.
-
-        Per-query results are identical to :meth:`mliq`; the batch shares
-        the page cache and vectorizes per-node refinement across queries
-        (see :mod:`repro.gausstree.batch`). Returns ``(per-query match
-        lists, aggregate stats)``. Deprecated entry point: use the
-        session API (``execute_many``) instead.
-        """
-        from repro.gausstree.batch import gausstree_mliq_many
-
-        self._warn_deprecated("mliq_many", "execute_many([MLIQ(...), ...])")
-        return gausstree_mliq_many(self, list(queries), tolerance=tolerance)
-
-    def tiq_many(
-        self,
-        queries: Iterable[ThresholdQuery],
-        tolerance: float = 0.0,
-        probability_tolerance: float | None = None,
-    ) -> tuple[list[list[Match]], QueryStats]:
-        """Answer a batch of TIQs in one buffer-warm pass (see
-        :meth:`mliq_many`). Deprecated entry point: use the session API
-        (``execute_many``) instead."""
-        from repro.gausstree.batch import gausstree_tiq_many
-
-        self._warn_deprecated("tiq_many", "execute_many([TIQ(...), ...])")
-        return gausstree_tiq_many(
-            self,
-            list(queries),
-            tolerance=tolerance,
-            probability_tolerance=probability_tolerance,
-        )
 
     # -- validation ------------------------------------------------------------------
 

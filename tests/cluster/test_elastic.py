@@ -32,9 +32,9 @@ from repro.cluster.partition import build_shards
 from repro.cluster.pool import default_workers
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery
 from repro.engine import MLIQ, ConsensusTopK, ExpectedRank, connect
 from repro.engine.session import Session
+from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.tree import GaussTree
 from repro.storage.fault import WorkerKillSwitch, killing_runner
 from repro.storage.ship import WALShipper, create_replica, replica_path
@@ -511,7 +511,7 @@ def test_interleaved_workload_with_failovers_matches_single_tree(
             assert not os.path.exists(sentinel)
             reference = GaussTree(dims=3, degree=3)
             reference.extend(alive)
-            exp, _ = reference.mliq(MLIQuery(q, k))
+            exp, _ = gausstree_mliq(reference, MLIQ(q, k))
             assert {m.key for m in got} == {m.key for m in exp}
             exp_p = {m.key: m.probability for m in exp}
             for m in got:

@@ -397,6 +397,27 @@ def test_write_spec_wire_round_trip():
         assert list(back.v.sigma) == list(spec.v.sigma)
 
 
+@pytest.mark.parametrize("raw", ["Infinity", "-Infinity", "2.7", "true"])
+@pytest.mark.parametrize("kind", ["mliq", "rank", "consensus", "erank"])
+def test_non_integer_k_is_a_wire_error(kind, raw):
+    from repro.cluster import WireError, spec_from_json
+
+    data = json.loads(
+        f'{{"kind": "{kind}", "mu": [0.1], "sigma": [0.2], "k": {raw}}}'
+    )
+    with pytest.raises(WireError, match='"k" must be an integer'):
+        spec_from_json(data)
+
+
+def test_integral_float_k_is_accepted():
+    from repro.cluster import spec_from_json
+
+    spec = spec_from_json(
+        {"kind": "mliq", "mu": [0.1], "sigma": [0.2], "k": 3.0}
+    )
+    assert spec.k == 3 and isinstance(spec.k, int)
+
+
 def _replica_deployment(tmp_path, seed):
     """A writable 2-shard primary (1 replica per shard) plus a factory
     opening read-only sessions over the same manifest."""
@@ -569,6 +590,23 @@ def test_non_object_json_body_answers_400(served, body, trace_header):
     status, payload = _raw_http(server, head, body)
     assert status == 400
     assert "JSON object" in payload["error"]
+    assert ServeClient(server.url, timeout=30).healthz()["status"] == "ok"
+
+
+def test_infinite_k_answers_400_and_keeps_serving(served):
+    server, _, _ = served
+    body = (
+        b'{"queries": [{"kind": "mliq", "mu": [0.1, 0.2, 0.3], '
+        b'"sigma": [0.2, 0.2, 0.2], "k": Infinity}]}'
+    )
+    head = (
+        "POST /query HTTP/1.1\r\n"
+        "Content-Type: application/json\r\n"
+        f"Content-Length: {len(body)}\r\n\r\n"
+    )
+    status, payload = _raw_http(server, head, body)
+    assert status == 400
+    assert '"k" must be an integer' in payload["error"]
     assert ServeClient(server.url, timeout=30).healthz()["status"] == "ok"
 
 

@@ -124,11 +124,11 @@ class TestFigure1Example:
 
     def test_tiq_example_from_section_3(self):
         # "A TIQ with Ptheta = 12% would additionally report O2."
-        from repro.core.queries import ThresholdQuery
+        from repro.engine.spec import TIQ
         from repro.core.scan import scan_tiq
 
         db, q = self.scenario()
-        keys = {m.key for m in scan_tiq(db, ThresholdQuery(q, 0.12))}
+        keys = {m.key for m in scan_tiq(db, TIQ(q, 0.12))}
         assert keys == {"O3", "O2"}
 
     def test_posteriors_sum_to_one(self):

@@ -20,8 +20,8 @@ from hypothesis import given, settings, strategies as st
 from repro.core.bayes import identification_posteriors
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.scan import scan_mliq, scan_tiq
+from repro.engine.spec import MLIQ, TIQ
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -40,14 +40,14 @@ class TestProperty1ProbabilityBudget:
     @settings(max_examples=25, deadline=None)
     def test_mliq_probabilities_sum_below_one(self, dbq, k):
         db, q = dbq
-        matches = scan_mliq(db, MLIQuery(q, k))
+        matches = scan_mliq(db, MLIQ(q, k))
         assert sum(m.probability for m in matches) <= 1.0 + 1e-9
 
     @given(db_and_query(), st.floats(0.0, 1.0))
     @settings(max_examples=25, deadline=None)
     def test_tiq_probabilities_sum_below_one(self, dbq, p_theta):
         db, q = dbq
-        matches = scan_tiq(db, ThresholdQuery(q, p_theta))
+        matches = scan_tiq(db, TIQ(q, p_theta))
         assert sum(m.probability for m in matches) <= 1.0 + 1e-9
 
 

@@ -1,30 +1,31 @@
-"""Unit tests for query specs and stats records."""
+"""Unit tests for the engine query specs and the shared result records."""
 
 import pytest
 
 from repro.core.pfv import PFV
-from repro.core.queries import Match, MLIQuery, QueryStats, ThresholdQuery
+from repro.core.queries import Match, QueryStats
+from repro.engine.spec import MLIQ, TIQ
 
 
 class TestSpecs:
     def test_mliq_defaults(self):
-        q = MLIQuery(PFV([0.0], [1.0]))
+        q = MLIQ(PFV([0.0], [1.0]))
         assert q.k == 1
 
     def test_mliq_rejects_bad_k(self):
         with pytest.raises(ValueError):
-            MLIQuery(PFV([0.0], [1.0]), k=0)
+            MLIQ(PFV([0.0], [1.0]), k=-1)
 
     def test_tiq_threshold_range(self):
-        ThresholdQuery(PFV([0.0], [1.0]), 0.0)
-        ThresholdQuery(PFV([0.0], [1.0]), 1.0)
+        TIQ(PFV([0.0], [1.0]), 0.0)
+        TIQ(PFV([0.0], [1.0]), 1.0)
         with pytest.raises(ValueError):
-            ThresholdQuery(PFV([0.0], [1.0]), 1.5)
+            TIQ(PFV([0.0], [1.0]), 1.5)
         with pytest.raises(ValueError):
-            ThresholdQuery(PFV([0.0], [1.0]), -0.1)
+            TIQ(PFV([0.0], [1.0]), -0.1)
 
     def test_specs_are_frozen(self):
-        q = MLIQuery(PFV([0.0], [1.0]), 2)
+        q = MLIQ(PFV([0.0], [1.0]), 2)
         with pytest.raises(AttributeError):
             q.k = 3
 

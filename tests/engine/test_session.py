@@ -3,8 +3,7 @@
 Behavioral contract of ``repro.engine``: every backend answers the same
 specs with the same ResultSet shape, the normalised edge-case semantics
 hold on all of them, rank queries lower to MLIQ + mass cut, plans
-describe execution without running it, and the legacy per-method entry
-points still work but warn.
+describe execution without running it, and no engine path warns.
 """
 
 import warnings
@@ -16,7 +15,6 @@ import repro
 from repro.baselines.seqscan import SequentialScanIndex
 from repro.core.database import PFVDatabase
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.engine import (
     MLIQ,
     TIQ,
@@ -64,7 +62,7 @@ class TestSpecs:
     def test_non_spec_rejected_by_execute(self, db, q):
         with connect(db, backend="seqscan") as s:
             with pytest.raises(TypeError):
-                s.execute(MLIQuery(q, 3))  # legacy spec, not an engine spec
+                s.execute((q, 3))  # a bare tuple, not an engine spec
 
 
 class TestExecute:
@@ -74,7 +72,7 @@ class TestExecute:
 
         with connect(db, backend=backend) as s:
             rs = s.execute(MLIQ(q, 7))
-        want = [m.key for m in scan_mliq(db, MLIQuery(q, 7))]
+        want = [m.key for m in scan_mliq(db, MLIQ(q, 7))]
         assert [m.key for m in rs.matches] == want
         assert rs.backend == backend
         assert rs.stats.pages_accessed > 0
@@ -85,7 +83,7 @@ class TestExecute:
 
         with connect(db, backend=backend) as s:
             rs = s.execute(TIQ(q, tau=0.05))
-        want = [m.key for m in scan_tiq(db, ThresholdQuery(q, 0.05))]
+        want = [m.key for m in scan_tiq(db, TIQ(q, 0.05))]
         assert [m.key for m in rs.matches] == want
 
     def test_rank_is_mliq_plus_mass_cut(self, db, q):
@@ -284,16 +282,14 @@ class TestSessionLifecycle:
         b = session_for(scan).execute(MLIQ(q, 5)).keys()
         assert a == b
 
-    def test_session_for_wraps_legacy_duck_typed_methods(self, db, q):
-        class Legacy:
+    def test_session_for_rejects_unknown_objects(self, db):
+        class DuckTyped:  # the pre-2.0 per-method shape
             def mliq(self, query):
-                return SequentialScanIndex(db)._mliq_impl(query)
+                raise AssertionError("never called")
 
-        s = session_for(Legacy(), name="custom")
-        assert s.backend_name == "custom"
-        assert len(s.execute(MLIQ(q, 4)).matches) == 4
-        with pytest.raises(CapabilityError):
-            s.execute(TIQ(q, 0.5))  # no tiq method declared
+        for index in (object(), DuckTyped(), db):
+            with pytest.raises(TypeError):
+                session_for(index)
 
     def test_register_backend(self, db, q):
         calls = []
@@ -317,24 +313,6 @@ class TestSessionLifecycle:
 
 
 class TestDeprecationShims:
-    def test_legacy_entry_points_warn_but_work(self, db, q):
-        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
-        scan = SequentialScanIndex(db)
-        spec = MLIQuery(q, 3)
-        for call in (
-            lambda: tree.mliq(spec),
-            lambda: tree.tiq(ThresholdQuery(q, 0.1)),
-            lambda: tree.mliq_many([spec]),
-            lambda: tree.tiq_many([ThresholdQuery(q, 0.1)]),
-            lambda: scan.mliq(spec),
-            lambda: scan.tiq(ThresholdQuery(q, 0.1)),
-            lambda: scan.mliq_many([spec]),
-            lambda: scan.tiq_many([ThresholdQuery(q, 0.1)]),
-        ):
-            with pytest.warns(DeprecationWarning, match="deprecated"):
-                result = call()
-            assert result is not None
-
     def test_engine_paths_emit_no_deprecation_warnings(self, db, q):
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)

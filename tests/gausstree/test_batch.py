@@ -8,10 +8,13 @@ from repro.core.joint import (
     log_joint_density_batch,
     log_joint_density_multi,
 )
-from repro.core.queries import MLIQuery, ThresholdQuery
 from repro.core.pfv import PFV
+from repro.engine.spec import MLIQ, TIQ
+from repro.gausstree.batch import gausstree_mliq_many, gausstree_tiq_many
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.hull import node_log_bounds_batch, node_log_bounds_multi
+from repro.gausstree.mliq import gausstree_mliq
+from repro.gausstree.tiq import gausstree_tiq
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -89,12 +92,12 @@ class TestMultiKernels:
 
 class TestGaussTreeBatch:
     def test_mliq_many_matches_singles(self, tree):
-        mliqs = [MLIQuery(q, 4) for q in queries(3, 25, 1000)]
-        batch, stats = tree.mliq_many(mliqs)
+        mliqs = [MLIQ(q, 4) for q in queries(3, 25, 1000)]
+        batch, stats = gausstree_mliq_many(tree, mliqs)
         assert len(batch) == len(mliqs)
         total_pages = 0
         for query, matches in zip(mliqs, batch):
-            single, single_stats = tree.mliq(query)
+            single, single_stats = gausstree_mliq(tree, query)
             assert [m.key for m in single] == [m.key for m in matches]
             for a, b in zip(single, matches):
                 assert b.probability == pytest.approx(a.probability, abs=1e-12)
@@ -103,19 +106,26 @@ class TestGaussTreeBatch:
         assert stats.pages_accessed == total_pages
 
     def test_tiq_many_matches_singles(self, tree):
-        tiqs = [ThresholdQuery(q, 0.15) for q in queries(3, 20, 1100)]
-        batch, _ = tree.tiq_many(tiqs)
+        tiqs = [TIQ(q, 0.15) for q in queries(3, 20, 1100)]
+        batch, _ = gausstree_tiq_many(tree, tiqs)
         for query, matches in zip(tiqs, batch):
-            single, _ = tree.tiq(query)
+            single, _ = gausstree_tiq(tree, query)
             assert [m.key for m in single] == [m.key for m in matches]
             for a, b in zip(single, matches):
                 assert b.probability == pytest.approx(a.probability, abs=1e-12)
 
+    def test_k_zero_member_is_empty(self, tree):
+        q = make_random_query(d=3, seed=1200)
+        results, _ = gausstree_mliq_many(tree, [MLIQ(q, 0), MLIQ(q, 2)])
+        assert results[0] == []
+        single, _ = gausstree_mliq(tree, MLIQ(q, 2))
+        assert [m.key for m in results[1]] == [m.key for m in single]
+
     def test_empty_batch(self, tree):
-        results, stats = tree.mliq_many([])
+        results, stats = gausstree_mliq_many(tree, [])
         assert results == []
         assert stats.pages_accessed == 0
 
     def test_dimension_mismatch_rejected(self, tree):
         with pytest.raises(ValueError):
-            tree.mliq_many([MLIQuery(make_random_query(d=2), 1)])
+            gausstree_mliq_many(tree, [MLIQ(make_random_query(d=2), 1)])

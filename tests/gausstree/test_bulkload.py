@@ -5,13 +5,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery
+from repro.engine.spec import MLIQ
 from repro.gausstree.bulkload import (
     bulk_load,
     chunk_sizes,
     quality_groups,
     spatial_order,
 )
+from repro.gausstree.mliq import gausstree_mliq
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -143,8 +144,8 @@ class TestBulkLoad:
         bulk = bulk_load(db.vectors, degree=3)
         inserted = GaussTree(dims=3, degree=3)
         inserted.extend(db.vectors)
-        bm, _ = bulk.mliq(MLIQuery(q, 5))
-        im, _ = inserted.mliq(MLIQuery(q, 5))
+        bm, _ = gausstree_mliq(bulk, MLIQ(q, 5))
+        im, _ = gausstree_mliq(inserted, MLIQ(q, 5))
         assert [m.key for m in bm] == [m.key for m in im]
         for a, b in zip(bm, im):
             assert a.probability == pytest.approx(b.probability, abs=1e-6)
@@ -181,7 +182,7 @@ class TestBulkLoad:
                     np.random.default_rng(seed + 1).normal(v.mu, v.sigma),
                     sigma[int(np.random.default_rng(seed + 2).integers(0, n))],
                 )
-                _, st = tree.mliq(MLIQuery(q, 1), tolerance=1.0)
+                _, st = gausstree_mliq(tree, MLIQ(q, 1), tolerance=1.0)
                 total += st.pages_accessed
             return total
 

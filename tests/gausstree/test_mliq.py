@@ -14,9 +14,10 @@ from hypothesis import given, settings, strategies as st
 
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery
 from repro.core.scan import scan_mliq
+from repro.engine.spec import MLIQ
 from repro.gausstree.bulkload import bulk_load
+from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.tree import GaussTree
 
 from tests.conftest import make_random_db, make_random_query
@@ -43,8 +44,8 @@ class TestEquivalenceWithScan:
         db = make_random_db(n=n, d=d, seed=seed)
         q = make_random_query(d=d, seed=seed + 1)
         tree = build_tree(db, bulk=bulk)
-        expected = scan_mliq(db, MLIQuery(q, k))
-        got, stats = tree.mliq(MLIQuery(q, k), tolerance=1e-9)
+        expected = scan_mliq(db, MLIQ(q, k))
+        got, stats = gausstree_mliq(tree, MLIQ(q, k), tolerance=1e-9)
         assert [m.key for m in got] == [m.key for m in expected]
         for a, b in zip(got, expected):
             assert a.probability == pytest.approx(b.probability, abs=1e-6)
@@ -59,20 +60,26 @@ class TestEquivalenceWithScan:
         db_paper = PFVDatabase(db.vectors, sigma_rule=SigmaRule.PAPER)
         q = make_random_query(d=2, seed=10)
         tree = build_tree(db_paper, sigma_rule=SigmaRule.PAPER)
-        expected = scan_mliq(db_paper, MLIQuery(q, 4))
-        got, _ = tree.mliq(MLIQuery(q, 4))
+        expected = scan_mliq(db_paper, MLIQ(q, 4))
+        got, _ = gausstree_mliq(tree, MLIQ(q, 4))
         assert [m.key for m in got] == [m.key for m in expected]
 
     def test_k_exceeds_database(self):
         db = make_random_db(n=10, d=2, seed=3)
         tree = build_tree(db)
         q = make_random_query(d=2, seed=4)
-        got, _ = tree.mliq(MLIQuery(q, 50))
+        got, _ = gausstree_mliq(tree, MLIQ(q, 50))
         assert len(got) == 10
+
+    def test_k_zero_is_the_empty_answer(self):
+        tree = build_tree(make_random_db(n=10, d=2, seed=3))
+        got, stats = gausstree_mliq(tree, MLIQ(make_random_query(d=2), 0))
+        assert got == []
+        assert stats.pages_accessed == 0
 
     def test_empty_tree(self):
         tree = GaussTree(dims=2, degree=3)
-        got, stats = tree.mliq(MLIQuery(make_random_query(d=2), 3))
+        got, stats = gausstree_mliq(tree, MLIQ(make_random_query(d=2), 3))
         assert got == []
         assert stats.pages_accessed == 0
 
@@ -81,8 +88,8 @@ class TestEquivalenceWithScan:
         db = make_random_db(n=50, d=3, seed=5, sigma_low=0.01, sigma_high=0.05)
         tree = build_tree(db)
         q = PFV([50.0, 50.0, 50.0], [0.01, 0.01, 0.01])
-        expected = scan_mliq(db, MLIQuery(q, 3))
-        got, _ = tree.mliq(MLIQuery(q, 3))
+        expected = scan_mliq(db, MLIQ(q, 3))
+        got, _ = gausstree_mliq(tree, MLIQ(q, 3))
         assert [m.key for m in got] == [m.key for m in expected]
         for m in got:
             assert math.isfinite(m.log_density)
@@ -110,8 +117,8 @@ class TestEquivalenceWithScan:
                 qrng.uniform(0, 1, 3),
                 np.exp(qrng.uniform(np.log(1e-4), np.log(1.0), 3)),
             )
-            expected = scan_mliq(db, MLIQuery(q, 3))
-            got, _ = tree.mliq(MLIQuery(q, 3))
+            expected = scan_mliq(db, MLIQ(q, 3))
+            got, _ = gausstree_mliq(tree, MLIQ(q, 3))
             assert [m.key for m in got] == [m.key for m in expected]
             for a, b in zip(got, expected):
                 assert a.probability == pytest.approx(b.probability, abs=1e-6)
@@ -126,22 +133,22 @@ class TestEfficiency:
         total_pages = sum(1 for _ in tree.nodes())
         v = db[17]
         q = PFV(v.mu, v.sigma)  # re-observation of a stored object
-        _, stats = tree.mliq(MLIQuery(q, 1), tolerance=1.0)
+        _, stats = gausstree_mliq(tree, MLIQ(q, 1), tolerance=1.0)
         assert stats.pages_accessed < total_pages / 2
 
     def test_tolerance_trades_pages_for_accuracy(self):
         db = make_random_db(n=500, d=3, seed=23)
         tree = build_tree(db, degree=4)
         q = make_random_query(d=3, seed=24)
-        _, loose = tree.mliq(MLIQuery(q, 1), tolerance=0.5)
-        _, tight = tree.mliq(MLIQuery(q, 1), tolerance=1e-9)
+        _, loose = gausstree_mliq(tree, MLIQ(q, 1), tolerance=0.5)
+        _, tight = gausstree_mliq(tree, MLIQ(q, 1), tolerance=1e-9)
         assert loose.pages_accessed <= tight.pages_accessed
 
     def test_stats_counters_populated(self):
         db = make_random_db(n=100, d=2, seed=25)
         tree = build_tree(db)
         q = make_random_query(d=2, seed=26)
-        _, stats = tree.mliq(MLIQuery(q, 2))
+        _, stats = gausstree_mliq(tree, MLIQ(q, 2))
         assert stats.nodes_expanded > 0
         assert stats.objects_refined > 0
         assert stats.cpu_seconds > 0.0

@@ -15,9 +15,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
+from repro.engine.spec import MLIQ, TIQ
+from repro.gausstree.batch import gausstree_mliq_many
 from repro.gausstree.bulkload import bulk_load
+from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.persist import read_header, save_tree
+from repro.gausstree.tiq import gausstree_tiq
 from repro.gausstree.tree import GaussTree
 from repro.storage.buffer import BufferManager
 from repro.storage.filestore import FilePageStore
@@ -50,8 +53,8 @@ class TestRoundTrip:
         reopened = GaussTree.open(path)
         try:
             q = make_random_query(d=d, seed=seed + 1)
-            mem, mem_stats = tree.mliq(MLIQuery(q, k))
-            disk, disk_stats = reopened.mliq(MLIQuery(q, k))
+            mem, mem_stats = gausstree_mliq(tree, MLIQ(q, k))
+            disk, disk_stats = gausstree_mliq(reopened, MLIQ(q, k))
             assert [m.key for m in mem] == [m.key for m in disk]
             for a, b in zip(mem, disk):
                 assert b.probability == pytest.approx(a.probability, abs=1e-9)
@@ -76,8 +79,8 @@ class TestRoundTrip:
         reopened = GaussTree.open(path)
         try:
             q = make_random_query(d=d, seed=seed + 2)
-            mem, mem_stats = tree.tiq(ThresholdQuery(q, p_theta))
-            disk, disk_stats = reopened.tiq(ThresholdQuery(q, p_theta))
+            mem, mem_stats = gausstree_tiq(tree, TIQ(q, p_theta))
+            disk, disk_stats = gausstree_tiq(reopened, TIQ(q, p_theta))
             assert [m.key for m in mem] == [m.key for m in disk]
             for a, b in zip(mem, disk):
                 assert b.probability == pytest.approx(a.probability, abs=1e-9)
@@ -126,7 +129,7 @@ class TestRoundTrip:
             assert stubs, "children of the root must start as stubs"
             # A rank-only point query materializes some subtrees, not all.
             q = db[17]
-            reopened.mliq(MLIQuery(q, 1), tolerance=0.25)
+            gausstree_mliq(reopened, MLIQ(q, 1), tolerance=0.25)
             remaining = [
                 node
                 for node in _iter_shallow(reopened.root)
@@ -152,8 +155,8 @@ class TestRoundTrip:
         again = GaussTree.open(path)
         try:
             q = make_random_query(d=2, seed=28)
-            mem, _ = tree.mliq(MLIQuery(q, 5))
-            disk, _ = again.mliq(MLIQuery(q, 5))
+            mem, _ = gausstree_mliq(tree, MLIQ(q, 5))
+            disk, _ = gausstree_mliq(again, MLIQ(q, 5))
             assert [m.key for m in mem] == [m.key for m in disk]
             again.check_invariants()
         finally:
@@ -166,7 +169,8 @@ class TestRoundTrip:
         reopened = GaussTree.open(path)
         try:
             assert len(reopened) == 0
-            matches, stats = reopened.mliq(MLIQuery(make_random_query(d=2), 1))
+            q = make_random_query(d=2)
+            matches, stats = gausstree_mliq(reopened, MLIQ(q, 1))
             assert matches == []
             assert stats.pages_accessed == 0
         finally:
@@ -229,12 +233,12 @@ class TestRoundTrip:
         reopened = GaussTree.open(path)
         try:
             queries = [
-                MLIQuery(make_random_query(d=3, seed=500 + i), 3)
+                MLIQ(make_random_query(d=3, seed=500 + i), 3)
                 for i in range(20)
             ]
-            batch, _ = reopened.mliq_many(queries)
+            batch, _ = gausstree_mliq_many(reopened, queries)
             for query, matches in zip(queries, batch):
-                mem, _ = tree.mliq(query)
+                mem, _ = gausstree_mliq(tree, query)
                 assert [m.key for m in mem] == [m.key for m in matches]
                 for a, b in zip(mem, matches):
                     assert b.probability == pytest.approx(
@@ -329,8 +333,8 @@ class TestFilePageStore:
         reopened = GaussTree.open(path, buffer=BufferManager(4))
         try:
             q = make_random_query(d=2, seed=12)
-            mem, mem_stats = tree.mliq(MLIQuery(q, 5))
-            disk, disk_stats = reopened.mliq(MLIQuery(q, 5))
+            mem, mem_stats = gausstree_mliq(tree, MLIQ(q, 5))
+            disk, disk_stats = gausstree_mliq(reopened, MLIQ(q, 5))
             assert [m.key for m in mem] == [m.key for m in disk]
             assert disk_stats.pages_accessed == mem_stats.pages_accessed
             store = reopened.store
@@ -373,10 +377,10 @@ class TestFilePageStore:
         reopened = GaussTree.open(path)
         try:
             q = make_random_query(d=2, seed=14)
-            first, warm_stats = reopened.mliq(MLIQuery(q, 3))
+            first, warm_stats = gausstree_mliq(reopened, MLIQ(q, 3))
             reopened.store.cold_start()
             assert reopened.store._frames == {}
-            second, cold_stats = reopened.mliq(MLIQuery(q, 3))
+            second, cold_stats = gausstree_mliq(reopened, MLIQ(q, 3))
             assert [m.key for m in first] == [m.key for m in second]
             assert cold_stats.page_faults >= warm_stats.page_faults
             assert cold_stats.page_faults == cold_stats.pages_accessed

@@ -28,8 +28,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
-from repro.core.queries import MLIQuery, ThresholdQuery
+from repro.engine.spec import MLIQ, TIQ
+from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.persist import read_header, save_tree
+from repro.gausstree.tiq import gausstree_tiq
 from repro.gausstree.tree import GaussTree
 from repro.storage.fault import FaultInjector, InjectedCrash
 from repro.storage.wal import WriteAheadLog
@@ -59,14 +61,14 @@ def assert_same_answers(expected_tree, actual_tree, d, seed, k=5, theta=0.2):
     """MLIQ and TIQ agreement; exact key order (same structure) is not
     assumed — posteriors are a property of the object *set*."""
     q = make_random_query(d=d, seed=seed)
-    exp, _ = expected_tree.mliq(MLIQuery(q, k))
-    act, _ = actual_tree.mliq(MLIQuery(q, k))
+    exp, _ = gausstree_mliq(expected_tree, MLIQ(q, k))
+    act, _ = gausstree_mliq(actual_tree, MLIQ(q, k))
     assert {m.key for m in exp} == {m.key for m in act}
     exp_p = {m.key: m.probability for m in exp}
     for m in act:
         assert m.probability == pytest.approx(exp_p[m.key], abs=1e-9)
-    exp_t, _ = expected_tree.tiq(ThresholdQuery(q, theta))
-    act_t, _ = actual_tree.tiq(ThresholdQuery(q, theta))
+    exp_t, _ = gausstree_tiq(expected_tree, TIQ(q, theta))
+    act_t, _ = gausstree_tiq(actual_tree, TIQ(q, theta))
     assert {m.key for m in exp_t} == {m.key for m in act_t}
 
 
@@ -375,9 +377,9 @@ class TestMutateQueryEquivalence:
                 )
                 q = make_random_query(d=d, seed=seed + 7)
                 writable.store.cold_start()
-                live_matches, live_stats = writable.mliq(MLIQuery(q, 4))
+                live_matches, live_stats = gausstree_mliq(writable, MLIQ(q, 4))
                 reopened.store.cold_start()
-                disk_matches, disk_stats = reopened.mliq(MLIQuery(q, 4))
+                disk_matches, disk_stats = gausstree_mliq(reopened, MLIQ(q, 4))
                 assert [m.key for m in live_matches] == [
                     m.key for m in disk_matches
                 ]

@@ -11,9 +11,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.pfv import PFV
-from repro.core.queries import ThresholdQuery
 from repro.core.scan import scan_tiq
+from repro.engine.spec import TIQ
 from repro.gausstree.bulkload import bulk_load
+from repro.gausstree.tiq import gausstree_tiq
 from repro.gausstree.tree import GaussTree
 
 from tests.conftest import make_random_db, make_random_query
@@ -40,8 +41,8 @@ class TestEquivalenceWithScan:
         db = make_random_db(n=n, d=d, seed=seed)
         q = make_random_query(d=d, seed=seed + 1)
         tree = build_tree(db, bulk=bulk)
-        expected = {m.key for m in scan_tiq(db, ThresholdQuery(q, p_theta))}
-        got, _ = tree.tiq(ThresholdQuery(q, p_theta))
+        expected = {m.key for m in scan_tiq(db, TIQ(q, p_theta))}
+        got, _ = gausstree_tiq(tree, TIQ(q, p_theta))
         assert {m.key for m in got} == expected
 
     @given(
@@ -55,9 +56,9 @@ class TestEquivalenceWithScan:
         q = make_random_query(d=2, seed=seed + 3)
         tree = build_tree(db)
         expected = {
-            m.key: m.probability for m in scan_tiq(db, ThresholdQuery(q, p_theta))
+            m.key: m.probability for m in scan_tiq(db, TIQ(q, p_theta))
         }
-        got, _ = tree.tiq(ThresholdQuery(q, p_theta), probability_tolerance=1e-8)
+        got, _ = gausstree_tiq(tree, TIQ(q, p_theta), probability_tolerance=1e-8)
         for m in got:
             assert m.probability == pytest.approx(expected[m.key], abs=1e-6)
 
@@ -65,20 +66,20 @@ class TestEquivalenceWithScan:
         db = make_random_db(n=40, d=2, seed=5)
         tree = build_tree(db)
         q = make_random_query(d=2, seed=6)
-        got, _ = tree.tiq(ThresholdQuery(q, 0.0))
+        got, _ = gausstree_tiq(tree, TIQ(q, 0.0))
         assert len(got) == 40
 
     def test_results_sorted_by_probability(self):
         db = make_random_db(n=80, d=2, seed=7)
         tree = build_tree(db)
         q = make_random_query(d=2, seed=8)
-        got, _ = tree.tiq(ThresholdQuery(q, 0.01))
+        got, _ = gausstree_tiq(tree, TIQ(q, 0.01))
         probs = [m.probability for m in got]
         assert probs == sorted(probs, reverse=True)
 
     def test_empty_tree(self):
         tree = GaussTree(dims=2, degree=3)
-        got, stats = tree.tiq(ThresholdQuery(make_random_query(d=2), 0.5))
+        got, stats = gausstree_tiq(tree, TIQ(make_random_query(d=2), 0.5))
         assert got == []
         assert stats.pages_accessed == 0
 
@@ -86,8 +87,8 @@ class TestEquivalenceWithScan:
         db = make_random_db(n=50, d=3, seed=9, sigma_low=0.01, sigma_high=0.05)
         tree = build_tree(db)
         q = PFV([40.0, 40.0, 40.0], [0.02, 0.02, 0.02])
-        expected = {m.key for m in scan_tiq(db, ThresholdQuery(q, 0.3))}
-        got, _ = tree.tiq(ThresholdQuery(q, 0.3))
+        expected = {m.key for m in scan_tiq(db, TIQ(q, 0.3))}
+        got, _ = gausstree_tiq(tree, TIQ(q, 0.3))
         assert {m.key for m in got} == expected
 
     def test_heteroscedastic_extremes(self):
@@ -111,8 +112,8 @@ class TestEquivalenceWithScan:
                 np.exp(qrng.uniform(np.log(1e-4), np.log(1.0), 2)),
             )
             for p in (0.1, 0.5, 0.9):
-                expected = {m.key for m in scan_tiq(db, ThresholdQuery(q, p))}
-                got, _ = tree.tiq(ThresholdQuery(q, p))
+                expected = {m.key for m in scan_tiq(db, TIQ(q, p))}
+                got, _ = gausstree_tiq(tree, TIQ(q, p))
                 assert {m.key for m in got} == expected
 
 
@@ -122,16 +123,16 @@ class TestEfficiencyAndTolerance:
         tree = build_tree(db, degree=4)
         item = db[25]
         q = PFV(item.mu, item.sigma)
-        _, hi = tree.tiq(ThresholdQuery(q, 0.9))
-        _, zero = tree.tiq(ThresholdQuery(q, 0.0))
+        _, hi = gausstree_tiq(tree, TIQ(q, 0.9))
+        _, zero = gausstree_tiq(tree, TIQ(q, 0.0))
         assert hi.pages_accessed < zero.pages_accessed
 
     def test_tolerance_never_loses_clear_answers(self):
         db = make_random_db(n=100, d=2, seed=15)
         tree = build_tree(db)
         q = make_random_query(d=2, seed=16)
-        exact, _ = tree.tiq(ThresholdQuery(q, 0.2), tolerance=0.0)
-        loose, _ = tree.tiq(ThresholdQuery(q, 0.2), tolerance=0.05)
+        exact, _ = gausstree_tiq(tree, TIQ(q, 0.2), tolerance=0.0)
+        loose, _ = gausstree_tiq(tree, TIQ(q, 0.2), tolerance=0.05)
         exact_keys = {m.key for m in exact}
         loose_keys = {m.key for m in loose}
         # Only answers within the tolerance band may differ.
@@ -183,7 +184,7 @@ class TestEfficiencyAndTolerance:
             db.mu_matrix, db.sigma_matrix, q, db.sigma_rule
         )
         exact = posteriors_from_log_densities(log_dens)
-        got, _ = tree.tiq(ThresholdQuery(q, p_theta), tolerance=tol)
+        got, _ = gausstree_tiq(tree, TIQ(q, p_theta), tolerance=tol)
         got_keys = {m.key for m in got}
         clear_accepts = {
             db[i].key for i in range(len(db)) if exact[i] >= p_theta + tol
@@ -198,7 +199,7 @@ class TestEfficiencyAndTolerance:
         db = make_random_db(n=100, d=2, seed=17)
         tree = build_tree(db)
         q = make_random_query(d=2, seed=18)
-        _, stats = tree.tiq(ThresholdQuery(q, 0.5))
+        _, stats = gausstree_tiq(tree, TIQ(q, 0.5))
         assert stats.nodes_expanded > 0
         assert stats.pages_accessed == stats.nodes_expanded
         assert stats.modeled_cpu_seconds > 0.0

@@ -146,6 +146,18 @@ class TestProtocols:
             assert client.query([MLIQ(q, 1)])["status"] == 200
 
 
+    def test_jsonl_infinite_k_answers_400_and_keeps_serving(self, served):
+        server, _, _ = served
+        host, port = server.address
+        spec = _mliq_spec(make_random_query(seed=15), k=float("inf"))
+        with JsonlClient(host, port) as client:
+            resp = client.request("query", queries=[spec])
+            assert resp["status"] == 400
+            assert '"k" must be an integer' in resp["error"]
+            assert client.request("healthz")["status"] == 200
+        assert ServeClient(server.url).healthz()["status"] == "ok"
+
+
 class TestCoalescing:
     def test_concurrent_singletons_match_client_batched_posteriors(self):
         """The coalescing pillar: N clients' singleton queries fused
