@@ -14,7 +14,7 @@ from repro.data.synthetic import uniform_pfv_dataset
 from repro.data.workload import identification_workload
 from repro.engine.spec import MLIQ, TIQ
 from repro.gausstree.bulkload import bulk_load
-from repro.gausstree.hull import log_hull_upper, node_log_bounds_batch
+from repro.gausstree.hull import log_hull_upper, node_log_bounds_multi
 from repro.gausstree.tree import GaussTree
 
 D = 10
@@ -47,7 +47,12 @@ def test_node_bounds_batch(benchmark, query, rng_seed=0):
     mu_hi = mu_lo + rng.uniform(0, 0.5, (k, D))
     sg_lo = rng.uniform(0.01, 0.1, (k, D))
     sg_hi = sg_lo + rng.uniform(0, 0.2, (k, D))
-    benchmark(lambda: node_log_bounds_batch(mu_lo, mu_hi, sg_lo, sg_hi, query))
+    q_mu, q_sigma = query.mu[np.newaxis, :], query.sigma[np.newaxis, :]
+    benchmark(
+        lambda: node_log_bounds_multi(
+            mu_lo, mu_hi, sg_lo, sg_hi, q_mu, q_sigma
+        )
+    )
 
 
 def test_joint_density_batch(benchmark, db, query):

@@ -45,7 +45,6 @@ __all__ = [
     "hull_lower",
     "node_log_bounds",
     "node_log_upper",
-    "node_log_bounds_batch",
     "node_log_bounds_multi",
 ]
 
@@ -139,28 +138,6 @@ def node_log_upper(
     return float(np.sum(per_dim))
 
 
-def node_log_bounds_batch(
-    mu_lo: np.ndarray,
-    mu_hi: np.ndarray,
-    sigma_lo: np.ndarray,
-    sigma_hi: np.ndarray,
-    q: PFV,
-    rule: SigmaRule = SigmaRule.CONVOLUTION,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorised :func:`node_log_bounds` for ``k`` sibling rectangles.
-
-    All four bound arrays have shape ``(k, d)``; returns ``(lower, upper)``
-    arrays of shape ``(k,)``. This is the hot path of tree traversal: one
-    numpy evaluation bounds every child of an expanded node at once.
-    """
-    s_lo = combine_sigma(sigma_lo, q.sigma[np.newaxis, :], rule)
-    s_hi = combine_sigma(sigma_hi, q.sigma[np.newaxis, :], rule)
-    x = q.mu[np.newaxis, :]
-    upper = np.sum(log_hull_upper(x, mu_lo, mu_hi, s_lo, s_hi), axis=1)
-    lower = np.sum(log_hull_lower(x, mu_lo, mu_hi, s_lo, s_hi), axis=1)
-    return lower, upper
-
-
 def node_log_bounds_multi(
     mu_lo: np.ndarray,
     mu_hi: np.ndarray,
@@ -170,13 +147,14 @@ def node_log_bounds_multi(
     q_sigma: np.ndarray,
     rule: SigmaRule = SigmaRule.CONVOLUTION,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """:func:`node_log_bounds_batch` for a *batch of queries* at once.
+    """Vectorised :func:`node_log_bounds` for ``k`` sibling rectangles
+    and a *batch of queries* at once.
 
     Rectangle bounds have shape ``(k, d)``, query stacks ``(m, d)``;
-    returns ``(lower, upper)`` arrays of shape ``(m, k)`` — row ``i`` is
-    the batch result for query ``i``. Shared by the batch query APIs so
-    the children of an expanded node are bounded for every concurrent
-    query in one numpy evaluation.
+    returns ``(lower, upper)`` arrays of shape ``(m, k)`` — entry
+    ``[i, j]`` bounds rectangle ``j`` for query ``i``. This is the hot
+    path of tree traversal: the children of an expanded node are bounded
+    for every concurrent query in one numpy evaluation.
     """
     q_mu = np.asarray(q_mu, dtype=np.float64)
     q_sigma = np.asarray(q_sigma, dtype=np.float64)

@@ -8,12 +8,12 @@ until the denominator interval (sum approximation over the unexplored
 subtrees) is tight enough to report the actual Bayes posteriors at the
 requested accuracy.
 
-Columnar leaves (bulk-loaded trees, format-v3 files) take a vectorized
-candidate-selection path: the entries beating the current k-th density
-are found with one numpy comparison over the whole page and pfv objects
-are only materialized for the final result set. The selected candidates
-— and hence matches, posteriors and stats — are identical to the
-sequential per-entry loop, which the parity property tests assert.
+Candidate selection is vectorized per page, whatever the page's layout:
+the entries beating the current k-th density are found with one numpy
+comparison over the page's density row, candidates are kept as
+``(leaf, index)`` references, and pfv objects are only materialized for
+the final result set. The heap evolves exactly as under a per-entry
+loop, so the selected candidates are those of Figure 4.
 """
 
 from __future__ import annotations
@@ -26,7 +26,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from repro.core.pfv import PFV
 from repro.core.queries import Match, QueryStats
 from repro.gausstree.search import SearchState
 
@@ -58,7 +57,8 @@ def gausstree_mliq(
     state:
         A pre-built :class:`~repro.gausstree.search.SearchState` (the
         batch API passes one wired to a shared
-        :class:`~repro.gausstree.batch.BatchRefiner`).
+        :class:`~repro.gausstree.search.BatchRefiner`); without one the
+        query builds its own.
 
     Returns
     -------
@@ -73,10 +73,9 @@ def gausstree_mliq(
     if state is None:
         state = SearchState(tree, query.q)
 
-    # Min-heap of the k best candidates. Items are either
-    # (log_density, tiebreak, vector) or — for columnar leaves, which
-    # defer pfv construction — (log_density, tiebreak, leaf, index);
-    # tiebreaks are unique, so heap comparisons never reach element 2.
+    # Min-heap of the k best candidates, as (log_density, tiebreak, leaf,
+    # index) — pfv construction is deferred to the result; tiebreaks are
+    # unique, so heap comparisons never reach the leaf.
     candidates: list[tuple] = []
     tiebreak = itertools.count()
     # The densest candidate's scaled density, memoized across the drain
@@ -112,52 +111,35 @@ def gausstree_mliq(
         expanded = state.pop_and_expand()
         if expanded is None:
             continue
-        leaf, log_dens, best, columnar = expanded
-        if columnar:
-            if len(candidates) >= query.k and best <= candidates[0][0]:
-                # The page's densest entry cannot beat the current k-th
-                # (the replacement test below is strict), so no entry can
-                # change the heap: skip the scan entirely. The page still
-                # contributed its denominator mass inside pop_and_expand.
-                continue
-            lds = log_dens.tolist()
-            i = 0
-            while len(candidates) < query.k and i < len(lds):
-                heapq.heappush(candidates, (lds[i], next(tiebreak), leaf, i))
-                i += 1
-            if i < len(lds):
-                # One numpy comparison prefilters the page: only entries
-                # beating the k-th density when the page was reached can
-                # ever enter the heap (the k-th bound only grows and the
-                # test below is strict), and each survivor is re-checked
-                # against the live bound — so the heap evolves exactly
-                # as under the per-entry loop.
-                better = np.nonzero(log_dens[i:] > candidates[0][0])[0]
-                for j in better:
-                    ld = lds[i + j]
-                    if ld > candidates[0][0]:
-                        heapq.heapreplace(
-                            candidates, (ld, next(tiebreak), leaf, int(i + j))
-                        )
-        else:
-            for vector, ld in zip(leaf.entries, log_dens):
-                item = (float(ld), next(tiebreak), vector)
-                if len(candidates) < query.k:
-                    heapq.heappush(candidates, item)
-                elif item[0] > candidates[0][0]:
-                    heapq.heapreplace(candidates, item)
+        leaf, log_dens, best = expanded
+        if len(candidates) >= k and best <= candidates[0][0]:
+            # The page's densest entry cannot beat the current k-th (the
+            # replacement test below is strict), so no entry can change
+            # the heap: skip the scan entirely. The page still
+            # contributed its denominator mass inside pop_and_expand.
+            continue
+        lds = log_dens.tolist()
+        i = 0
+        while len(candidates) < k and i < len(lds):
+            heapq.heappush(candidates, (lds[i], next(tiebreak), leaf, i))
+            i += 1
+        if i < len(lds):
+            # One numpy comparison prefilters the page: only entries
+            # beating the k-th density when the page was reached can ever
+            # enter the heap (the k-th bound only grows and the test
+            # below is strict), and each survivor is re-checked against
+            # the live bound — so the heap evolves exactly as under a
+            # per-entry loop.
+            better = np.nonzero(log_dens[i:] > candidates[0][0])[0]
+            for j in better:
+                ld = lds[i + j]
+                if ld > candidates[0][0]:
+                    heapq.heapreplace(
+                        candidates, (ld, next(tiebreak), leaf, int(i + j))
+                    )
         heap_rev += 1  # scanned leaves may have moved the candidate set
 
-    matches = _assemble(state, candidates)
-    stats = _stats(state, store, started)
-    return matches, stats
-
-
-def _vector_of(item: tuple) -> PFV:
-    """The pfv of a heap item, materializing deferred columnar entries."""
-    if len(item) == 3:
-        return item[2]
-    return item[2].entry_at(item[3])
+    return _assemble(state, candidates), state.stats(started)
 
 
 def _assemble(
@@ -179,26 +161,7 @@ def _assemble(
             # Degenerate: every density underflowed — mirror the scan's
             # "maximally indifferent" uniform posterior (Property 3).
             probability = 1.0 / max(1, len(state.tree))
-        matches.append(Match(_vector_of(item), log_density, probability))
+        vector = item[2].entry_at(item[3])
+        matches.append(Match(vector, log_density, probability))
     return matches
 
-
-def _stats(state: SearchState, store, started: float) -> QueryStats:
-    elapsed = time.perf_counter() - started
-    cost = store.cost_model
-    vectorized = state.objects_refined_vectorized
-    return QueryStats(
-        pages_accessed=store.log.pages_accessed,
-        page_faults=store.log.page_faults,
-        objects_refined=state.objects_refined,
-        nodes_expanded=state.nodes_expanded,
-        cpu_seconds=elapsed,
-        io_seconds=store.log.io_seconds,
-        # Columnar-leaf refinements are priced at the vectorized rate,
-        # the rest (interleaved or mutated pages) at the scalar rate.
-        modeled_cpu_seconds=cost.modeled_cpu_seconds(
-            state.objects_refined - vectorized, store.log.pages_accessed
-        )
-        + cost.modeled_cpu_seconds(vectorized, 0, vectorized=True),
-        buffer_evictions=store.log.evictions,
-    )

@@ -121,9 +121,11 @@ class LeafNode(Node):
         """Whether the payload currently lives in column arrays.
 
         Columnar leaves come from :meth:`set_columns` (bulk loading, the
-        format-v3 page loader); the vectorized query kernels take their
-        fast path on them. False for unmaterialized stubs — callers on
-        the query path call :meth:`arrays` first, which materializes.
+        format-v3 page loader); :meth:`arrays` hands their columns to the
+        query kernel without a stacking copy, and the cost model prices
+        their refinement at its vectorized rate. False for unmaterialized
+        stubs — callers on the query path call :meth:`arrays` first,
+        which materializes.
         """
         return self._col_keys is not None
 

@@ -1,15 +1,24 @@
-"""Shared machinery of the Gauss-tree query algorithms (Section 5.2).
+"""The one best-first traversal behind every Gauss-tree query (Section 5.2).
 
-Both k-MLIQ and TIQ run a best-first traversal over a priority queue of
-"active nodes" ordered by the node's upper density bound for the query
-(Lemma 2 hull with query-combined sigmas), and both need running bounds on
-the Bayes denominator ``sum_{w in DB} p(q|w)``:
+Both k-MLIQ (Figure 4) and TIQ (Figure 5) run a best-first traversal over
+a priority queue of "active nodes" ordered by the node's upper density
+bound for the query (Lemma 2 hull with query-combined sigmas), and both
+need running bounds on the Bayes denominator ``sum_{w in DB} p(q|w)``:
 
 ``exact_sum  +  min_remaining  <=  denominator  <=  exact_sum + max_remaining``
 
 where ``exact_sum`` accumulates the exactly refined leaf entries and the
 ``*_remaining`` terms add ``count * N_`` / ``count * N^`` for every subtree
 still sitting in the queue (the sum approximation of Section 5.2).
+
+Every expansion goes through a :class:`BatchRefiner` — the cross-query
+cache of node numbers for a batch of concurrent queries; a lone query
+gets a one-row refiner. An inner node's child bounds and a leaf's
+Lemma-1 densities, row maxima and scaled masses are therefore computed
+by one kernel whatever the leaf's layout (columnar, interleaved or a
+not-yet-decoded disk stub), which is what makes a query's answer
+bit-identical across storage formats and between the single and the
+batch entry points.
 
 Numerical strategy
 ------------------
@@ -32,17 +41,20 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from heapq import heappop, heappush
 from math import exp as _exp
+from typing import Sequence
 
 import numpy as np
 
-from repro.core.joint import log_joint_density_batch
+from repro.core.joint import log_joint_density_multi
 from repro.core.pfv import PFV
-from repro.gausstree.hull import node_log_bounds, node_log_bounds_batch
-from repro.gausstree.node import LeafNode, Node
+from repro.core.queries import QueryStats
+from repro.gausstree.hull import node_log_bounds, node_log_bounds_multi
+from repro.gausstree.node import InnerNode, LeafNode, Node
 
-__all__ = ["SearchState"]
+__all__ = ["BatchRefiner", "SearchState"]
 
 # Re-anchor the shift when it drifts this many nats from the best density.
 _RESCALE_GAP = 300.0
@@ -81,7 +93,7 @@ class _BoundSum:
     loose root hull over 27-d data), so the sum tracks a conservative
     :attr:`drift` allowance; consumers widen their bounds by it and the
     owning state rebuilds the sums from the queue once the allowance
-    becomes material.
+    becomes material, and resets them once the queue is empty.
     """
 
     __slots__ = ("finite", "capped", "drift")
@@ -132,32 +144,112 @@ class _BoundSum:
         return math.inf if self.capped > 0 else self.finite + self.drift
 
 
+class BatchRefiner:
+    """Cross-query cache of per-node numeric work for one query batch.
+
+    The first query to expand a node computes its numbers for *every*
+    query in the batch in one numpy evaluation — an ``(m, n)`` kernel
+    instead of ``m`` separate ``(n,)`` calls — and later queries reaching
+    the same node pay a dictionary lookup. Caches are keyed by page id,
+    which uniquely names a node within one tree; every query call builds
+    a fresh refiner, so mutations between calls cannot leak stale
+    numbers.
+    """
+
+    def __init__(self, tree, queries: Sequence[PFV]) -> None:
+        for q in queries:
+            if q.dims != tree.dims:
+                raise ValueError(
+                    f"query is {q.dims}-d, tree is {tree.dims}-d"
+                )
+        self.rule = tree.sigma_rule
+        self.q_mu = np.vstack([q.mu for q in queries])
+        self.q_sigma = np.vstack([q.sigma for q in queries])
+        self._bounds_cache: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # Per-query scale shifts (registered by each SearchState at init)
+        # plus, per leaf page, every query's expansion data.
+        self._shifts: list[float] = [0.0] * len(queries)
+        self._leaf_extras: dict[
+            int, tuple[list[np.ndarray], list[float], list[float], list[float]]
+        ] = {}
+
+    def register_shift(self, query_index: int, shift: float) -> None:
+        """Record a query's scale shift so per-page denominator masses can
+        be precomputed on its behalf; called by ``SearchState.__init__``."""
+        self._shifts[query_index] = shift
+
+    def leaf_extras(
+        self, leaf: LeafNode
+    ) -> tuple[list[np.ndarray], list[float], list[float], list[float]]:
+        """Per-query expansion data for a leaf, one list entry per batch
+        query: ``(log_density_rows, row_maxima, scaled_masses,
+        shifts_used)``.
+
+        Computed for *all* queries in a handful of array operations the
+        first time any query touches the page (materializing a disk stub
+        on the way); ``SearchState`` indexes the lists directly on every
+        later expansion. Each scaled mass is bit-identical to
+        ``np.sum(np.exp(np.clip(row - shift, _UNDERFLOW, _CAP)))`` for
+        the shift registered at state construction (elementwise ops are
+        rowwise-independent and numpy's last-axis pairwise summation
+        matches the 1-d case); the consumer must recompute the mass
+        itself iff its current shift no longer equals its
+        ``shifts_used`` entry (a query that re-anchored mid-traversal —
+        rare by the 300-nat gap).
+        """
+        extras = self._leaf_extras.get(leaf.page_id)
+        if extras is None:
+            mu, sigma = leaf.arrays()
+            matrix = log_joint_density_multi(
+                mu, sigma, self.q_mu, self.q_sigma, self.rule
+            )
+            scaled = matrix - np.asarray(self._shifts)[:, None]
+            np.clip(scaled, _UNDERFLOW, _CAP, out=scaled)
+            np.exp(scaled, out=scaled)
+            extras = (
+                list(matrix),  # row views, indexable without numpy dispatch
+                matrix.max(axis=1).tolist(),
+                scaled.sum(axis=1).tolist(),
+                list(self._shifts),
+            )
+            self._leaf_extras[leaf.page_id] = extras
+        return extras
+
+    def child_log_bounds(
+        self, inner: InnerNode
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """``(lower, upper)`` hull bounds of the node's children, each of
+        shape ``(m, k)``; computed once per inner node per batch."""
+        cached = self._bounds_cache.get(inner.page_id)
+        if cached is None:
+            mu_lo, mu_hi, sg_lo, sg_hi = inner.stacked_child_bounds()
+            cached = node_log_bounds_multi(
+                mu_lo, mu_hi, sg_lo, sg_hi, self.q_mu, self.q_sigma, self.rule
+            )
+            self._bounds_cache[inner.page_id] = cached
+        return cached
+
+
 class SearchState:
     """Priority queue plus denominator bounds for one query.
 
-    ``refiner`` (see :class:`repro.gausstree.batch.BatchRefiner`) lets a
-    batch of concurrent queries share the numeric work of node expansion:
-    when set, leaf densities and child bounds come from the refiner's
-    cross-query cache (computed vectorised over every query in the batch
-    the first time any of them expands the node) and ``query_index``
-    selects this state's row. Traversal order, accounting and results are
-    unchanged — the refiner only changes who computes the numbers.
+    ``refiner`` is the :class:`BatchRefiner` of the query's batch (built
+    from ``q`` among the others) and ``query_index`` selects this state's
+    row in it; without one the state builds a one-row refiner of its own. Traversal order, accounting and
+    results do not depend on the batch — the refiner only changes who
+    computes the numbers.
     """
 
     def __init__(self, tree, q: PFV, refiner=None, query_index: int = 0) -> None:
-        if q.dims != tree.dims:
-            raise ValueError(f"query is {q.dims}-d, tree is {tree.dims}-d")
+        if refiner is None:
+            refiner = BatchRefiner(tree, [q])  # validates q's dimensions
         self.tree = tree
-        self.q = q
         self.refiner = refiner
         self.query_index = query_index
         # The refiner's per-page extras cache (a dict mutated in place,
-        # never rebound), kept as an attribute for call-free lookups in
-        # the leaf fast path.
-        self._refiner_extras = (
-            refiner._leaf_extras if refiner is not None else None
-        )
-        self.rule = tree.sigma_rule
+        # never rebound), kept as an attribute for call-free lookups on
+        # every leaf expansion.
+        self._refiner_extras = refiner._leaf_extras
         self._counter = itertools.count()
         self._heap: list[tuple[float, int, float, Node, int]] = []
         # Bound once: the store is fixed for the state's lifetime and
@@ -169,8 +261,8 @@ class SearchState:
         self.max_log_density = -math.inf
         self.nodes_expanded = 0
         self.objects_refined = 0
-        # Of which: objects served by the columnar page kernel — the
-        # stats layer prices these at the cost model's vectorized rate.
+        # Of which: objects on columnar pages — the stats layer prices
+        # these at the cost model's vectorized rate.
         self.objects_refined_vectorized = 0
         # Stored so that a shift change can rebuild exact_sum losslessly.
         self._leaf_log_densities: list[np.ndarray] = []
@@ -178,10 +270,9 @@ class SearchState:
         if root.count == 0:
             self.shift = 0.0
             return
-        log_lower, log_upper = node_log_bounds(root.rect, q, self.rule)
+        log_lower, log_upper = node_log_bounds(root.rect, q, tree.sigma_rule)
         self.shift = log_upper
-        if refiner is not None:
-            refiner.register_shift(query_index, log_upper)
+        refiner.register_shift(query_index, log_upper)
         self._push(root, log_lower, log_upper)
 
     # -- scaling -------------------------------------------------------------
@@ -291,80 +382,59 @@ class SearchState:
 
     # -- expansion -------------------------------------------------------------
 
-    def pop_and_expand(
-        self,
-    ) -> tuple[LeafNode, np.ndarray, float, bool] | None:
+    def pop_and_expand(self) -> tuple[LeafNode, np.ndarray, float] | None:
         """Pop the top node; count one page access.
 
         Inner node: its children are pushed (their bounds tighten the
         denominator interval) and ``None`` is returned. Leaf: every stored
-        pfv is refined exactly (vectorised Lemma 1) and
-        ``(leaf, log_densities, max_log_density, columnar)`` is returned —
-        the max lets callers skip pages that cannot improve their
-        candidate set, the flag whether the page was refined by the
-        columnar kernel (== ``leaf.is_columnar`` after refinement, saved
-        here so callers skip the property re-check).
+        pfv is refined exactly (vectorised Lemma 1) and ``(leaf,
+        log_densities, max_log_density)`` is returned — the max lets
+        callers skip pages that cannot improve their candidate set.
         """
-        neg_upper, _, log_lower, node, n = heappop(self._heap)
+        heap = self._heap
+        neg_upper, _, log_lower, node, n = heappop(heap)
         shift = self.shift
-        self._min_rem.remove(log_lower, n, shift)
-        self._max_rem.remove(-neg_upper, n, shift)
+        if heap:
+            self._min_rem.remove(log_lower, n, shift)
+            self._max_rem.remove(-neg_upper, n, shift)
+        else:
+            # The queue is empty, so both remaining sums are exactly zero;
+            # resetting (rather than subtracting) also clears their drift
+            # allowance, which would otherwise pad an exact denominator.
+            self._min_rem.reset()
+            self._max_rem.reset()
         self._read(node.page_id)
         self.nodes_expanded += 1
+        qi = self.query_index
         if not node.is_leaf:
-            if self.refiner is not None:
-                lows, highs = self.refiner.child_log_bounds(node)
-                lows = lows[self.query_index]
-                highs = highs[self.query_index]
-            else:
-                lows, highs = node_log_bounds_batch(
-                    *node.stacked_child_bounds(), self.q, self.rule  # type: ignore[attr-defined]
-                )
+            lows, highs = self.refiner.child_log_bounds(node)
             # Inline _push with everything pre-bound: a query pushes one
             # entry per tree node, so per-child lookups add up.
-            heap = self._heap
             counter = self._counter
             min_add = self._min_rem.add
             max_add = self._max_rem.add
-            for child, lo, hi in zip(node.children, lows.tolist(), highs.tolist()):  # type: ignore[attr-defined]
+            children = node.children  # type: ignore[attr-defined]
+            for child, lo, hi in zip(
+                children, lows[qi].tolist(), highs[qi].tolist()
+            ):
                 cn = child.count
                 heappush(heap, (-hi, next(counter), lo, child, cn))
                 min_add(lo, cn, shift)
                 max_add(hi, cn, shift)
             return None
         leaf: LeafNode = node  # type: ignore[assignment]
-        mass = None
-        used_shift = math.nan
-        refiner = self.refiner
-        if refiner is not None:
-            if leaf.is_columnar:
-                # Columnar fast path: densities, row max and scaled mass
-                # were precomputed for the whole batch on first touch;
-                # indexing the extras lists here keeps a leaf expansion
-                # free of per-call numpy dispatch.
-                extras = self._refiner_extras.get(leaf.page_id)
-                if extras is None:
-                    extras = refiner.leaf_extras(leaf)
-                qi = self.query_index
-                log_dens = extras[0][qi]
-                best = extras[1][qi]
-                mass = extras[2][qi]
-                used_shift = extras[3][qi]
-                columnar = True
-            else:
-                log_dens = refiner.leaf_log_densities(leaf)[self.query_index]
-                best = float(np.max(log_dens))
-                # Re-checked after the density computation, which
-                # materializes disk stubs — a v3 page only reports
-                # columnar once decoded.
-                columnar = leaf.is_columnar
-        else:
-            mu, sigma = leaf.arrays()
-            log_dens = log_joint_density_batch(mu, sigma, self.q, self.rule)
-            best = float(np.max(log_dens))
-            columnar = leaf.is_columnar
+        # Densities, row max and scaled mass come precomputed for the
+        # whole batch on the page's first touch; indexing the extras
+        # lists keeps an expansion free of per-call numpy dispatch.
+        extras = self._refiner_extras.get(leaf.page_id)
+        if extras is None:
+            extras = self.refiner.leaf_extras(leaf)
+        log_dens = extras[0][qi]
+        best = extras[1][qi]
         self.objects_refined += n
-        if columnar:
+        # Checked after refinement, which decodes disk stubs: a v3 page
+        # only reports columnar once decoded.
+        if leaf.is_columnar:
             self.objects_refined_vectorized += n
         max_ld = self.max_log_density
         if best > max_ld:
@@ -379,9 +449,34 @@ class SearchState:
             self._maybe_rescale()
             shift = self.shift
         self._leaf_log_densities.append(log_dens)
-        if mass is None or used_shift != shift:
+        if extras[3][qi] == shift:
+            mass = extras[2][qi]
+        else:
             mass = float(
                 np.sum(np.exp(np.clip(log_dens - shift, _UNDERFLOW, _CAP)))
             )
         self.exact_sum += mass
-        return leaf, log_dens, best, columnar
+        return leaf, log_dens, best
+
+    def stats(self, started: float) -> QueryStats:
+        """The query's :class:`~repro.core.queries.QueryStats`, with CPU
+        time measured from the ``perf_counter`` reading ``started``."""
+        store = self.tree.store
+        log = store.log
+        cost = store.cost_model
+        vectorized = self.objects_refined_vectorized
+        return QueryStats(
+            pages_accessed=log.pages_accessed,
+            page_faults=log.page_faults,
+            objects_refined=self.objects_refined,
+            nodes_expanded=self.nodes_expanded,
+            cpu_seconds=time.perf_counter() - started,
+            io_seconds=log.io_seconds,
+            # Columnar-leaf refinements are priced at the vectorized rate,
+            # the rest (interleaved or mutated pages) at the scalar rate.
+            modeled_cpu_seconds=cost.modeled_cpu_seconds(
+                self.objects_refined - vectorized, log.pages_accessed
+            )
+            + cost.modeled_cpu_seconds(vectorized, 0, vectorized=True),
+            buffer_evictions=log.evictions,
+        )

@@ -3,18 +3,21 @@
 import numpy as np
 import pytest
 
+from repro.core.database import PFVDatabase
 from repro.core.joint import (
     SigmaRule,
     log_joint_density_batch,
     log_joint_density_multi,
 )
 from repro.core.pfv import PFV
+from repro.core.scan import scan_mliq, scan_tiq
 from repro.engine.spec import MLIQ, TIQ
 from repro.gausstree.batch import gausstree_mliq_many, gausstree_tiq_many
 from repro.gausstree.bulkload import bulk_load
-from repro.gausstree.hull import node_log_bounds_batch, node_log_bounds_multi
+from repro.gausstree.hull import node_log_bounds, node_log_bounds_multi
 from repro.gausstree.mliq import gausstree_mliq
 from repro.gausstree.tiq import gausstree_tiq
+from repro.gausstree.tree import GaussTree
 
 from tests.conftest import make_random_db, make_random_query
 
@@ -84,10 +87,12 @@ class TestMultiKernels:
         lows, highs = node_log_bounds_multi(
             mu_lo, mu_hi, sg_lo, sg_hi, q_mu, q_sigma
         )
+        assert lows.shape == highs.shape == (5, len(root.children))
         for i, q in enumerate(qs):
-            lo, hi = node_log_bounds_batch(mu_lo, mu_hi, sg_lo, sg_hi, q)
-            np.testing.assert_allclose(lows[i], lo, rtol=0, atol=1e-12)
-            np.testing.assert_allclose(highs[i], hi, rtol=0, atol=1e-12)
+            for j, child in enumerate(root.children):
+                lo, hi = node_log_bounds(child.rect, q)
+                assert lows[i, j] == pytest.approx(lo, rel=0, abs=1e-12)
+                assert highs[i, j] == pytest.approx(hi, rel=0, abs=1e-12)
 
 
 class TestGaussTreeBatch:
@@ -129,3 +134,65 @@ class TestGaussTreeBatch:
     def test_dimension_mismatch_rejected(self, tree):
         with pytest.raises(ValueError):
             gausstree_mliq_many(tree, [MLIQ(make_random_query(d=2), 1)])
+
+
+def _mixed_layout_tree():
+    """A bulk-loaded tree whose later inserts and deletes turned some
+    columnar leaves back into object lists; returns it with its contents
+    and the leaf layouts (``is_columnar`` values) it must hold."""
+    db = make_random_db(n=400, d=3, seed=77)
+    vectors = db.vectors
+    tree = bulk_load(vectors[:300], degree=4, sigma_rule=db.sigma_rule)
+    for v in vectors[300:]:
+        tree.insert(v)
+    for v in vectors[:30]:
+        assert tree.delete(v)
+    return tree, PFVDatabase(vectors[30:]), {True, False}
+
+
+def _insertion_built_tree():
+    db = make_random_db(n=250, d=3, seed=78)
+    tree = GaussTree(dims=3, degree=4, sigma_rule=db.sigma_rule)
+    tree.extend(db.vectors)
+    return tree, db, {False}
+
+
+class TestLeafLayouts:
+    """Single and batch queries take one path whatever the page layout:
+    columnar, object-list, or a mix of both in one tree."""
+
+    @pytest.fixture(
+        scope="class",
+        params=[_mixed_layout_tree, _insertion_built_tree],
+        ids=["mixed", "inserted"],
+    )
+    def built(self, request):
+        return request.param()
+
+    def test_layouts_present(self, built):
+        tree, _, layouts = built
+        assert {leaf.is_columnar for leaf in tree.leaves()} == layouts
+
+    def test_mliq_single_equals_many_and_scan(self, built):
+        tree, db, _ = built
+        mliqs = [MLIQ(q, 5) for q in queries(3, 12, 1300)]
+        batch, _ = gausstree_mliq_many(tree, mliqs)
+        for query, matches in zip(mliqs, batch):
+            single, _ = gausstree_mliq(tree, query)
+            assert [(m.key, m.log_density, m.probability) for m in single] == [
+                (m.key, m.log_density, m.probability) for m in matches
+            ]
+            expected = scan_mliq(db, query)
+            assert [m.key for m in single] == [m.key for m in expected]
+
+    def test_tiq_single_equals_many_and_scan(self, built):
+        tree, db, _ = built
+        tiqs = [TIQ(q, 0.05) for q in queries(3, 12, 1400)]
+        batch, _ = gausstree_tiq_many(tree, tiqs)
+        for query, matches in zip(tiqs, batch):
+            single, _ = gausstree_tiq(tree, query)
+            assert [(m.key, m.log_density, m.probability) for m in single] == [
+                (m.key, m.log_density, m.probability) for m in matches
+            ]
+            expected = scan_tiq(db, query)
+            assert [m.key for m in single] == [m.key for m in expected]

@@ -23,7 +23,7 @@ from repro.gausstree.hull import (
     log_hull_lower,
     log_hull_upper,
     node_log_bounds,
-    node_log_bounds_batch,
+    node_log_bounds_multi,
     node_log_upper,
 )
 
@@ -231,11 +231,14 @@ class TestNodeBounds:
             np.vstack([r.sigma_lo for r in rects]),
             np.vstack([r.sigma_hi for r in rects]),
         )
-        lows, highs = node_log_bounds_batch(*stacked, q)
+        lows, highs = node_log_bounds_multi(
+            *stacked, q.mu[np.newaxis, :], q.sigma[np.newaxis, :]
+        )
+        assert lows.shape == highs.shape == (1, k)
         for i, r in enumerate(rects):
             lo, hi = node_log_bounds(r, q)
-            assert lows[i] == pytest.approx(lo)
-            assert highs[i] == pytest.approx(hi)
+            assert lows[0, i] == pytest.approx(lo)
+            assert highs[0, i] == pytest.approx(hi)
 
     def test_containment_monotonicity(self, rng):
         # A sub-rectangle has tighter bounds than its parent.

@@ -15,6 +15,7 @@ from hypothesis import given, settings, strategies as st
 from repro.core.joint import SigmaRule
 from repro.core.pfv import PFV
 from repro.core.scan import scan_mliq
+from repro.data.workload import identification_workload
 from repro.engine.spec import MLIQ
 from repro.gausstree.bulkload import bulk_load
 from repro.gausstree.mliq import gausstree_mliq
@@ -122,6 +123,31 @@ class TestEquivalenceWithScan:
             assert [m.key for m in got] == [m.key for m in expected]
             for a, b in zip(got, expected):
                 assert a.probability == pytest.approx(b.probability, abs=1e-6)
+
+
+class TestDrainedDenominator:
+    def test_posteriors_meet_the_requested_tolerance(self):
+        # Tight sigmas and re-observation queries put the root hull bound
+        # orders of magnitude above the true denominator, so the queue's
+        # add/remove cycles build up a material drift allowance. Once the
+        # queue drains, that allowance must not pad the now exact
+        # denominator: the reported posteriors stay within the requested
+        # tolerance of the scan's, and tolerance 0.0 reproduces them to
+        # rounding.
+        db = make_random_db(
+            n=1000, d=8, seed=3, sigma_low=0.01, sigma_high=0.1
+        )
+        tree = bulk_load(db.vectors, sigma_rule=db.sigma_rule)
+        qs = [w.q for w in identification_workload(db, 10, seed=3)]
+        for tolerance, bound in ((1e-9, 1e-9 + 1e-12), (0.0, 1e-12)):
+            worst = 0.0
+            for q in qs:
+                got, _ = gausstree_mliq(tree, MLIQ(q, 3), tolerance=tolerance)
+                expected = scan_mliq(db, MLIQ(q, 3))
+                assert [m.key for m in got] == [m.key for m in expected]
+                for a, b in zip(got, expected):
+                    worst = max(worst, abs(a.probability - b.probability))
+            assert worst <= bound, (tolerance, worst)
 
 
 class TestEfficiency:
